@@ -6,6 +6,11 @@ so the output stays strictly binary.  Direct elementwise addition of two
 spike matrices is structurally impossible here: binary payloads only meet
 through concatenation or through real-valued pre-activations.
 
+The block's input is one graph node: the window's rows of a float64
+per-tick code table (kept by the block, rebuilt only to grow), gathered with
+one fancy index and concatenated after the spikes.  The codes are constants,
+so its backward routes only the spike slice.
+
 `CPGLinearLayer` is the drop-in linear variant: two parallel projections
 (input and positional code) are summed as real values before BN and the
 spiking layer.  With block-structured weights it reproduces the concat
@@ -19,7 +24,7 @@ import numpy as np
 from .encoder import CPGPEConfig, float_pe, generate_pe, random_pe
 from .neuron import LIFParams, SpikingLayer
 from .nn import BatchNorm, Linear, Module
-from .tensor import ShapeError, SpikeTensor, Tensor, concat_features
+from .tensor import ShapeError, SpikeTensor, Tensor
 
 _PE_CACHE: dict[tuple, SpikeTensor] = {}
 
@@ -41,18 +46,34 @@ def _broadcast_pe(pe: SpikeTensor, batch: int) -> SpikeTensor:
     return SpikeTensor(bits.copy())
 
 
-def _slice_codes(codes: np.ndarray, offsets: np.ndarray, t_steps: int,
-                 seq_len: int) -> SpikeTensor:
-    """Per-sample windows into a (horizon, W) per-tick code table.
+def _window_codes(table: np.ndarray, offsets: np.ndarray,
+                  seq_len: int) -> np.ndarray:
+    """(B, L, W) rows of a per-tick code table, one window per sample.
 
     Absolute-time indexing: sample b at position p reads the code of series
     tick offsets[b] + p, identically on every step.  Codes at any tick are
     independent of the horizon the table was generated for, so windows drawn
     against different horizons agree wherever they overlap.
     """
-    rows = np.stack([codes[o:o + seq_len] for o in offsets])  # (B, L, W)
-    bits = np.broadcast_to(rows, (t_steps,) + rows.shape)
-    return SpikeTensor(bits.copy().astype(np.float64))
+    offsets = np.asarray(offsets)
+    if offsets.min() < 0:  # a negative index would wrap to the table's end
+        raise ValueError(f"offsets must be >= 0, got {offsets.min()}")
+    return table[offsets[:, None] + np.arange(seq_len)]
+
+
+def _concat_codes(x: Tensor, codes: np.ndarray) -> Tensor:
+    """[x | codes] along the feature axis; codes broadcast to x's leading
+    shape and get no gradient."""
+    lead = x.shape[:-1]
+    d = x.shape[-1]
+    data = np.concatenate(
+        [x.data, np.broadcast_to(codes, lead + codes.shape[-1:])], axis=-1
+    )
+
+    def backward(g):
+        x._accumulate(g[..., :d])
+
+    return Tensor._make(data, (x,), backward)
 
 
 def cached_tick_codes(horizon: int, config: CPGPEConfig) -> np.ndarray:
@@ -76,21 +97,29 @@ class CPGPEBlock(Module):
         self.linear = Linear(d_model + config.width, d_model, rng)
         self.bn = BatchNorm(d_model)
         self.sn = SpikingLayer(lif)
+        self._table: np.ndarray | None = None
+
+    def _tick_codes(self, horizon: int) -> np.ndarray:
+        """Per-tick codes as float64, rebuilt only when a window needs more
+        ticks than the table holds."""
+        if self._table is None or len(self._table) < horizon:
+            self._table = cached_tick_codes(horizon, self.config).astype(
+                np.float64)
+        return self._table
 
     def __call__(self, x: SpikeTensor,
                  offsets: np.ndarray | None = None) -> SpikeTensor:
-        t, b, l, d = x.shape
+        t, _, l, d = x.shape
         if d != self.d_model:
             raise ShapeError(
                 f"block configured for D={self.d_model}, input has D={d}"
             )
         if offsets is None:
-            pe = _broadcast_pe(cached_pe(t, l, self.config), b)
+            codes = cached_pe(t, l, self.config).bits
         else:
-            codes = cached_tick_codes(int(np.max(offsets)) + l, self.config)
-            pe = _slice_codes(codes, offsets, t, l)
-        x1 = concat_features(x, pe)
-        y = self.linear(x1.to_tensor())
+            table = self._tick_codes(int(np.max(offsets)) + l)
+            codes = _window_codes(table, offsets, l)
+        y = self.linear(_concat_codes(x.to_tensor(), codes))
         return self.sn(self.bn(y))
 
 
@@ -146,7 +175,7 @@ class RandomPEBlock(Module):
         self.bn = BatchNorm(d_model)
         self.sn = SpikingLayer(lif)
         self._codes: np.ndarray | None = None
-        self._abs_codes: np.ndarray | None = None
+        self._table: np.ndarray | None = None
 
     def _pe_bits(self, t_steps: int, seq_len: int) -> np.ndarray:
         n = t_steps * seq_len
@@ -157,26 +186,25 @@ class RandomPEBlock(Module):
     def _tick_codes(self, horizon: int) -> np.ndarray:
         # Bernoulli rows are drawn tick-major, so a longer table agrees
         # with a shorter one on their shared prefix.
-        if self._abs_codes is None or self._abs_codes.shape[0] < horizon:
-            self._abs_codes = random_pe(
+        if self._table is None or len(self._table) < horizon:
+            self._table = random_pe(
                 horizon, self.width, self.spike_prob, self.seed
-            )
-        return self._abs_codes
+            ).astype(np.float64)
+        return self._table
 
     def __call__(self, x: SpikeTensor,
                  offsets: np.ndarray | None = None) -> SpikeTensor:
-        t, b, l, d = x.shape
+        t, _, l, d = x.shape
         if d != self.d_model:
             raise ShapeError(
                 f"block configured for D={self.d_model}, input has D={d}"
             )
         if offsets is None:
-            pe = _broadcast_pe(SpikeTensor(self._pe_bits(t, l)), b)
+            codes = self._pe_bits(t, l)
         else:
-            codes = self._tick_codes(int(np.max(offsets)) + l)
-            pe = _slice_codes(codes, offsets, t, l)
-        x1 = concat_features(x, pe)
-        y = self.linear(x1.to_tensor())
+            table = self._tick_codes(int(np.max(offsets)) + l)
+            codes = _window_codes(table, offsets, l)
+        y = self.linear(_concat_codes(x.to_tensor(), codes))
         return self.sn(self.bn(y))
 
 

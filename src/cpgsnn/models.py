@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import CPGPEBlock, FloatPEBlock, RandomPEBlock
 from .encoder import CPGPEConfig
-from .neuron import LIFParams, MembraneState, SpikingLayer, lif_step, _take_step
+from .neuron import LIFParams, MembraneState, SpikingLayer, lif_step
 from .nn import BatchNorm, Linear, Module
 from .tensor import ShapeError, SpikeTensor, Tensor, shift_positions, stack
 
@@ -114,6 +114,12 @@ class SpikeRNNLayer(Module):
     Input currents pass through a shared batch normalization before the
     membrane update (norm=True); sparse binary inputs otherwise produce
     sub-threshold currents at initialization and the layer never spikes.
+    The normalization runs once per unrolled slot, so in train mode its
+    running statistics take one update per slot, T (or L) per forward.
+
+    W_in is applied to the whole sequence in one Linear call and the result
+    is split per slot with `Tensor.select`; the recurrent term is skipped at
+    the first slot, where s_(t-1) = 0 contributes exactly nothing.
     """
 
     def __init__(self, d_in: int, d_out: int, lif: LIFParams,
@@ -141,19 +147,17 @@ class SpikeRNNLayer(Module):
             axis, extent, state_shape = 0, t_steps, (b, l, d_out)
         else:
             axis, extent, state_shape = 2, l, (t_steps, b, d_out)
+        drive = self.w_in(xt)
         state = MembraneState(h=Tensor(np.zeros(state_shape)))
-        s_prev = Tensor(np.zeros(state_shape))
         outs = []
         for t in range(extent):
-            current = (
-                self.w_in(_take_step(xt, t, axis))
-                + (s_prev @ self.w_rec.weight)
-            )
+            current = drive.select(t, axis)
+            if outs:
+                current = current + outs[-1] @ self.w_rec.weight
             if self.bn is not None:
                 current = self.bn(current)
             s, state = lif_step(state, current, self.lif)
             outs.append(s)
-            s_prev = s
         self._last_membrane = state.h
         return SpikeTensor(stack(outs, axis=axis))
 
@@ -286,7 +290,7 @@ class ForecastModel(Module):
         else:
             rate = x.to_tensor().mean(axis=0)  # (B, L, D) over steps
             if self.config.readout_pool == "last":
-                pooled = _take_step(rate, rate.shape[1] - 1, axis=1)
+                pooled = rate.select(rate.shape[1] - 1, axis=1)
             else:
                 pooled = rate.mean(axis=1)  # (B, D) over positions
         b = pooled.shape[0]

@@ -9,6 +9,18 @@ Forward semantics per step:
 The backward pass replaces dS/dU by the arctangent surrogate evaluated at
 U - u_thr.  The reset term's dependence on S is treated as non-differentiable:
 gradient flows through beta * U only.
+
+Both are written by hand rather than composed from elementary tensor ops.
+`lif_step` makes two graph nodes per step, the spike and the new membrane,
+each a child of the previous membrane and the input current.
+`SpikingLayer` makes one node per sequence: its forward loops over the
+steps in numpy and keeps the spikes S_t and surrogate slopes sg_t, and its
+backward runs backpropagation through time in reverse step order,
+
+    gU_t = g_t * sg_t + gU_(t+1) * beta * (1 - S_t),      gU_(T+1) = 0,
+
+where g_t is the gradient arriving at S_t and gU_t is both the gradient of
+U_t and of the input current I_t (U_t = H_(t-1) + I_t).
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SpikeTensor, Tensor, stack
+from .tensor import SpikeTensor, Tensor, _unbroadcast
 
 
 @dataclass
@@ -63,23 +75,42 @@ def spike(u_shifted: Tensor, alpha: float) -> Tensor:
     return Tensor._make(data, (u_shifted,), backward)
 
 
+def _membrane_update(h: np.ndarray, current: np.ndarray, params: LIFParams):
+    """One LIF step on arrays: (S, surrogate slope, dH/dU, new H)."""
+    u = h + current
+    u_shifted = u - params.u_thr
+    s = (u_shifted >= 0.0).astype(np.float64)
+    keep = params.beta * (1.0 - s)  # detached reset gate
+    h_new = u * keep + params.v_reset * s
+    return s, surrogate_grad(u_shifted, params.alpha), keep, h_new
+
+
 def lif_step(
     state: MembraneState, input_current: Tensor, params: LIFParams
 ) -> tuple[Tensor, MembraneState]:
     """One membrane update; returns (binary spikes, new state)."""
     if not np.all(np.isfinite(input_current.data)):
         raise FloatingPointError("non-finite input current")
-    if np.broadcast_shapes(state.h.shape, input_current.shape) != \
-            input_current.shape:
+    h, i = state.h, input_current
+    if np.broadcast_shapes(h.shape, i.shape) != i.shape:
         raise ValueError(
-            f"state shape {state.h.shape} incompatible with input "
-            f"{input_current.shape}"
+            f"state shape {h.shape} incompatible with input {i.shape}"
         )
-    u = state.h + input_current
-    s = spike(u - params.u_thr, params.alpha)
-    s_const = s.data  # detach: no gradient through the reset gate
-    h_new = u * (params.beta * (1.0 - s_const)) + params.v_reset * s_const
-    return s, MembraneState(h=h_new, step=state.step + 1)
+    s, sg, keep, h_next = _membrane_update(h.data, i.data, params)
+
+    def through_u(slope):
+        def backward(g):
+            gu = g * slope
+            if h.requires_grad:
+                h._accumulate(_unbroadcast(gu, h.shape))
+            if i.requires_grad:
+                i._accumulate(gu)
+
+        return backward
+
+    spikes = Tensor._make(s, (h, i), through_u(sg))
+    h_new = Tensor._make(h_next, (h, i), through_u(keep))
+    return spikes, MembraneState(h=h_new, step=state.step + 1)
 
 
 def lif_step_values(h_prev: float, current: float, params: LIFParams):
@@ -108,25 +139,25 @@ class SpikingLayer:
         return self.forward(x_seq)
 
     def forward(self, x_seq: Tensor) -> SpikeTensor:
-        t_steps = x_seq.shape[0]
-        state = MembraneState(h=Tensor(np.zeros(x_seq.shape[1:])))
-        spikes = []
-        for t in range(t_steps):
-            step_in = _take_step(x_seq, t)
-            s, state = lif_step(state, step_in, self.params)
-            spikes.append(s)
-        out = stack(spikes, axis=0)
-        return SpikeTensor(out)
+        """One graph node for the whole sequence; see the module docstring."""
+        x = x_seq.data
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError("non-finite input current")
+        p = self.params
+        spikes = np.empty_like(x)
+        slopes = np.empty_like(x)
+        h = np.zeros(x.shape[1:])
+        for t in range(x.shape[0]):
+            spikes[t], slopes[t], _, h = _membrane_update(h, x[t], p)
 
+        def backward(g):
+            gx = np.empty_like(g)
+            gu = None
+            for t in range(g.shape[0] - 1, -1, -1):
+                gu_t = g[t] * slopes[t]
+                if gu is not None:
+                    gu_t += gu * (p.beta * (1.0 - spikes[t]))
+                gx[t] = gu = gu_t
+            x_seq._accumulate(gx)
 
-def _take_step(x_seq: Tensor, t: int, axis: int = 0) -> Tensor:
-    """Differentiable slice of index t along the given axis."""
-    index = (slice(None),) * axis + (t,)
-    data = x_seq.data[index]
-
-    def backward(g):
-        gx = np.zeros_like(x_seq.data)
-        gx[index] = g
-        x_seq._accumulate(gx)
-
-    return Tensor._make(data, (x_seq,), backward)
+        return SpikeTensor(Tensor._make(spikes, (x_seq,), backward))

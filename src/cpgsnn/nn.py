@@ -61,7 +61,10 @@ class Module:
 
 
 class Linear(Module):
-    """y = x @ W + b with uniform +-sqrt(1/fan_in) initialization."""
+    """y = x @ W + b with uniform +-sqrt(1/fan_in) initialization.
+
+    One graph node per call; its backward reads only x, W and the gradient.
+    """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  bias: bool = True):
@@ -71,10 +74,25 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        w, b = self.weight, self.bias
+        if x.ndim < 2 or x.shape[-1] != w.shape[0]:
+            raise ShapeError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
+        data = x.data @ w.data
+        if b is not None:
+            data = data + b.data
+        lead = tuple(range(x.ndim - 1))
+
+        def backward(g):
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.reshape(-1, w.shape[0]).T
+                              @ g.reshape(-1, w.shape[1]))
+            if b is not None and b.requires_grad:
+                b._accumulate(g.sum(axis=lead))
+
+        parents = (x, w) if b is None else (x, w, b)
+        return Tensor._make(data, parents, backward)
 
 
 class BatchNorm(Module):
@@ -84,6 +102,15 @@ class BatchNorm(Module):
     running estimates by exponential moving average; eval mode uses the
     running estimates.  Requires an effective batch of at least 2 in train
     mode.
+
+    Each call is one graph node.  With x_hat = (x - mean) / std over the N
+    leading positions and gy = g * scale, the train-mode backward is the
+    closed form through the batch statistics,
+
+        dx = (gy - mean(gy) - x_hat * mean(gy * x_hat)) / std,
+
+    and the eval-mode backward is dx = gy / std with the running std.  Both
+    keep x_hat and std, nothing else of the forward.
     """
 
     def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -108,20 +135,38 @@ class BatchNorm(Module):
             n = int(np.prod(x.shape[:-1]))
             if n < 2:
                 raise ValueError(f"batch of size {n} < 2 in train mode")
-            mu = x.mean(axis=axes, keepdims=True)
-            xc = x - mu
-            var = (xc * xc).mean(axis=axes, keepdims=True)
+            mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
+            xc = x.data - mu
+            var = (xc * xc).sum(axis=axes, keepdims=True) * (1.0 / n)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu.data.reshape(-1)
+            self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(-1)
             # unbiased estimate for the running variance, matching convention
             self.running_var = (
                 (1 - m) * self.running_var
-                + m * var.data.reshape(-1) * n / max(n - 1, 1)
+                + m * var.reshape(-1) * n / max(n - 1, 1)
             )
-            y = xc / (var + self.eps).sqrt()
+            std = np.sqrt(var + self.eps)
+            x_hat = xc / std
         else:
-            y = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        return y * self.scale + self.shift
+            std = np.sqrt(self.running_var + self.eps)
+            x_hat = (x.data - self.running_mean) / std
+        scale, shift, training = self.scale, self.shift, self.training
+
+        def backward(g):
+            if scale.requires_grad:
+                scale._accumulate((g * x_hat).sum(axis=axes))
+            if shift.requires_grad:
+                shift._accumulate(g.sum(axis=axes))
+            if not x.requires_grad:
+                return
+            gy = g * scale.data
+            if training:
+                gy = (gy - gy.mean(axis=axes, keepdims=True)
+                      - x_hat * (gy * x_hat).mean(axis=axes, keepdims=True))
+            x._accumulate(gy / std)
+
+        return Tensor._make(x_hat * scale.data + shift.data,
+                            (x, scale, shift), backward)
 
 
 def save_checkpoint(module: Module, path: str | Path) -> None:

@@ -103,23 +103,29 @@ def integrate_rk4(
     """Classical fixed-step RK4 trajectory; rows are (t, x, y)."""
     if dt <= 0 or t_end <= 0:
         raise ValueError(f"require dt > 0 and t_end > 0, got dt={dt}, t_end={t_end}")
-    a, b, c, d = params.a, params.b, params.c, params.d
-
-    def deriv(state):
-        x, y = state
-        return np.array([a * y + b, -c * x + d])
-
+    # Python floats, not 2-vectors: the same operations in the same order
+    # (so the same rounding) as the vector form, without an array per stage.
+    a, b, c, d = float(params.a), float(params.b), float(params.c), float(params.d)
+    half, sixth = 0.5 * dt, dt / 6.0
     n = int(round(t_end / dt))
+    x, y = float(x0), float(y0)
+    xs, ys = [x], [y]
+    for _ in range(n):
+        k1x, k1y = a * y + b, -c * x + d
+        x2, y2 = x + half * k1x, y + half * k1y
+        k2x, k2y = a * y2 + b, -c * x2 + d
+        x3, y3 = x + half * k2x, y + half * k2y
+        k3x, k3y = a * y3 + b, -c * x3 + d
+        x4, y4 = x + dt * k3x, y + dt * k3y
+        k4x, k4y = a * y4 + b, -c * x4 + d
+        x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        y = y + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
+        xs.append(x)
+        ys.append(y)
     out = np.empty((n + 1, 3))
-    state = np.array([x0, y0], dtype=np.float64)
-    out[0] = (0.0, x0, y0)
-    for i in range(1, n + 1):
-        k1 = deriv(state)
-        k2 = deriv(state + 0.5 * dt * k1)
-        k3 = deriv(state + 0.5 * dt * k2)
-        k4 = deriv(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = (i * dt, state[0], state[1])
+    out[:, 0] = np.arange(n + 1) * dt
+    out[:, 1] = xs
+    out[:, 2] = ys
     return out
 
 

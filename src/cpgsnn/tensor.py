@@ -3,7 +3,25 @@
 Everything is float64 and row-major.  The graph is built eagerly: each op
 returns a new ``Tensor`` holding a closure that routes the incoming gradient
 to its parents.  ``backward`` walks the graph once in reverse topological
-order, so repeated subexpressions accumulate gradients additively.
+order, so repeated subexpressions accumulate gradients additively.  A
+node's first gradient is stored as a copy; later ones are added in place.
+
+The elementary ops below are composable and checked against finite
+differences.  The layers the trainer runs through use fused nodes instead:
+one node per layer call, whose closure holds only what its hand-written
+backward reads and skips parents that need no gradient:
+
+- ``nn.Linear``: ``x @ W + b``;
+- ``nn.BatchNorm``: normalisation with the closed-form backward through the
+  batch statistics (train mode), or one affine map (eval mode);
+- ``neuron.SpikingLayer``: a whole LIF sequence with a BPTT backward, and
+  ``neuron.lif_step``: one spike node and one membrane node per step;
+- ``blocks``: the concatenation of spikes and positional codes, whose
+  backward routes only the spike slice.
+
+``Tensor.select`` takes one slice along an axis; its backward adds into that
+slice of the parent's gradient, so splitting a sequence into steps allocates
+the parent's gradient once rather than once per step.
 
 Spiking activations travel between layers as ``SpikeTensor``: a strictly
 binary (T, B, L, D) array, optionally carrying a reference to the graph node
@@ -81,8 +99,13 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, since g may be another node's gradient or a view of it
+            grad = np.array(g, dtype=np.float64)
+            if grad.shape != self.data.shape:
+                grad = np.broadcast_to(grad, self.data.shape).copy()
+            self.grad = grad
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -222,6 +245,17 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
+    def select(self, i: int, axis: int = 0) -> "Tensor":
+        """The slice of index i along `axis`, with that axis dropped."""
+        index = (slice(None),) * axis + (i,)
+
+        def backward(g):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[index] += g
+
+        return Tensor._make(self.data[index], (self,), backward)
+
     # -- linear algebra -------------------------------------------------------
 
     def matmul(self, other: "Tensor") -> "Tensor":
@@ -330,9 +364,6 @@ def shift_positions(x: Tensor, offset: int, axis: int) -> Tensor:
 
 # -- spike payload ------------------------------------------------------------
 
-CHECK_BINARY = True  # assert-on-construction; flip off for speed if needed
-
-
 class SpikeTensor:
     """Strictly binary (T, B, L, D) activation array.
 
@@ -348,7 +379,7 @@ class SpikeTensor:
             raise ShapeError(f"SpikeTensor must be 4-D (T,B,L,D), got {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"SpikeTensor dims must be >= 1, got {arr.shape}")
-        if CHECK_BINARY and not np.all((arr == 0) | (arr == 1)):
+        if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("SpikeTensor values must be exactly 0 or 1")
         self.bits = arr.astype(np.uint8)
         if node is None and isinstance(values, Tensor):

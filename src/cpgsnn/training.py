@@ -84,14 +84,21 @@ def destandardize(model: ForecastModel, values: np.ndarray) -> np.ndarray:
 def predict(model: ForecastModel, history: np.ndarray,
             offsets: np.ndarray | None = None,
             batch_size: int = 256) -> np.ndarray:
-    """De-standardized predictions for a full split, eval mode."""
+    """De-standardized predictions for a full split, eval mode.
+
+    The caller's train/eval mode is restored on return, also on error.
+    """
+    modes = [(m, m.training) for m in model._bn_modules()]
     model.set_training(False)
     outs = []
-    for lo in range(0, history.shape[0], batch_size):
-        off = None if offsets is None else offsets[lo:lo + batch_size]
-        pred = model(history[lo:lo + batch_size], off)
-        outs.append(pred.data)
-    model.set_training(True)
+    try:
+        for lo in range(0, history.shape[0], batch_size):
+            off = None if offsets is None else offsets[lo:lo + batch_size]
+            pred = model(history[lo:lo + batch_size], off)
+            outs.append(pred.data)
+    finally:
+        for m, training in modes:
+            m.training = training
     return destandardize(model, np.concatenate(outs, axis=0))
 
 

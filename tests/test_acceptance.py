@@ -63,6 +63,17 @@ def random_spikes(rng, shape):
     return SpikeTensor((rng.random(shape) < 0.5).astype(np.uint8))
 
 
+def eval_batchnorm(n, rng):
+    """Eval-mode BatchNorm with non-trivial running statistics and affine."""
+    bn = BatchNorm(n)
+    bn.running_mean = rng.normal(size=n)
+    bn.running_var = rng.uniform(0.5, 2.0, n)
+    bn.scale.data = rng.uniform(0.5, 1.5, n)
+    bn.shift.data = rng.normal(size=n)
+    bn.training = False
+    return bn
+
+
 class TestCodeUniqueness:
     """640 stacked positional codes at reference settings never repeat."""
 
@@ -172,6 +183,9 @@ class TestGradientIntegrity:
     @pytest.mark.parametrize("module_fn", [
         lambda rng: Linear(3, 2, rng),
         lambda rng: BatchNorm(3),
+        # 4-D input: statistics over three leading axes
+        lambda rng: lambda x: BatchNorm(3)(x.reshape(2, 1, 3, 3)),
+        lambda rng: eval_batchnorm(3, rng),
     ])
     def test_module_finite_differences(self, module_fn, rng):
         x0 = rng.normal(size=(6, 3))
@@ -267,6 +281,7 @@ class TestBinarity:
         assert np.abs(pre_concat - pre_linear).max() < 1e-12
 
 
+@pytest.mark.slow
 class TestForecastAblation:
     """Structured positional codes transfer to later, unseen window offsets;
     random codes do not.  Mean test R^2 over three seeds must show a clear

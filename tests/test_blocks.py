@@ -165,16 +165,20 @@ class TestAbsoluteTimeOffsets:
     """Offset mode: codes indexed by absolute series tick, not window slot."""
 
     def test_cpg_slices_match_tick_code_table(self, rng):
-        from cpgsnn.blocks import cached_tick_codes, _slice_codes
+        from cpgsnn.blocks import cached_tick_codes, _window_codes
 
         config = small_config()
         codes = cached_tick_codes(30, config)
         offsets = np.array([0, 7, 18])
-        pe = _slice_codes(codes, offsets, t_steps=2, seq_len=12)
-        assert pe.shape == (2, 3, 12, config.width)
+        pe = _window_codes(codes, offsets, seq_len=12)
+        assert pe.shape == (3, 12, config.width)
         for b, off in enumerate(offsets):
-            for t in range(2):
-                assert np.array_equal(pe.bits[t, b], codes[off:off + 12])
+            assert np.array_equal(pe[b], codes[off:off + 12])
+
+    def test_negative_offset_rejected(self, rng):
+        block = CPGPEBlock(6, small_config(), rng=rng)
+        with pytest.raises(ValueError):
+            block(random_spikes(rng, (2, 2, 8, 6)), offsets=np.array([3, -1]))
 
     def test_cpg_tick_codes_prefix_consistent(self):
         from cpgsnn.blocks import cached_tick_codes

@@ -155,3 +155,71 @@ def test_lif_step_values_matches_graph_step(rng):
         sg, state = lif_step(state, Tensor([i]), params)
         assert sg.data.item() == s
         assert state.h.data.item() == pytest.approx(h, abs=1e-12)
+
+
+PARAM_SETS = [
+    LIFParams(),
+    LIFParams(beta=0.5, u_thr=0.5, v_reset=0.0, alpha=4.0),
+    LIFParams(beta=0.95, u_thr=1.2, v_reset=-0.3, alpha=1.0),
+]
+
+
+def lif_step_elementary(state, current, params):
+    """lif_step composed from elementary tensor ops, one node per op."""
+    u = state.h + current
+    s = spike(u - params.u_thr, params.alpha)
+    h_new = u * (params.beta * (1.0 - s.data)) + params.v_reset * s.data
+    return s, MembraneState(h=h_new, step=state.step + 1)
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("t_steps", [1, 2, 5])
+def test_spiking_layer_matches_lif_step_loop(params, t_steps):
+    """The one-node BPTT sequence equals a step loop of lif_step."""
+    rng = np.random.default_rng(t_steps)
+    x0 = rng.normal(0.5, 1.0, size=(t_steps, 3, 4, 5))
+    weights = rng.normal(size=x0.shape)  # varied upstream gradients
+
+    x = Tensor(x0, requires_grad=True)
+    out = SpikingLayer(params)(x)
+    (out.to_tensor() * weights).sum().backward()
+
+    currents = [Tensor(x0[t], requires_grad=True) for t in range(t_steps)]
+    state = MembraneState(h=Tensor(np.zeros(x0.shape[1:])))
+    loss = None
+    for t, current in enumerate(currents):
+        s, state = lif_step(state, current, params)
+        assert np.array_equal(out.bits[t], s.data)
+        term = (s * weights[t]).sum()
+        loss = term if loss is None else loss + term
+    loss.backward()
+
+    assert 0 < out.bits.sum() < out.bits.size  # both branches exercised
+    for t, current in enumerate(currents):
+        assert np.abs(x.grad[t] - current.grad).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_lif_step_matches_elementary_composition(params):
+    """The two-node step equals the per-op graph it replaces."""
+    x0 = np.random.default_rng(6).normal(0.5, 1.0, (3, 4, 6))
+    runs = []
+    for step in (lif_step, lif_step_elementary):
+        h0 = Tensor(np.full((4, 6), 0.3), requires_grad=True)
+        currents = [Tensor(c, requires_grad=True) for c in x0]
+        state = MembraneState(h=h0)
+        outs = []
+        for current in currents:
+            s, state = step(state, current, params)
+            outs.append(s)
+        loss = (outs[0] + outs[1] * 2.0 + outs[2] * 3.0 + state.h).sum()
+        loss.backward()
+        runs.append(([o.data for o in outs], state.h.data, h0.grad,
+                     [c.grad for c in currents]))
+    (s_a, h_a, gh_a, gi_a), (s_b, h_b, gh_b, gi_b) = runs
+    for a, b in zip(s_a, s_b):
+        assert np.array_equal(a, b)
+    assert np.array_equal(h_a, h_b)
+    assert np.abs(gh_a - gh_b).max() <= 1e-12
+    for a, b in zip(gi_a, gi_b):
+        assert np.abs(a - b).max() <= 1e-12

@@ -87,6 +87,20 @@ class TestSpikeRNNLayer:
         assert layer.last_membrane is not None
         assert layer.last_membrane.shape == (1, 2, 3)
 
+    def test_shared_norm_updates_running_stats_once_per_step(self, rng):
+        layer = SpikeRNNLayer(2, 3, LIFParams(), rng)
+        layer.w_rec.weight.data[:] = 0.0  # current_t = x_t @ W_in + b
+        bits = (rng.random((3, 2, 4, 2)) < 0.5).astype(np.uint8)
+        layer(SpikeTensor(bits))
+        m = layer.bn.momentum
+        mean, var = np.zeros(3), np.ones(3)
+        for t in range(3):
+            drive = bits[t] @ layer.w_in.weight.data + layer.w_in.bias.data
+            mean = (1 - m) * mean + m * drive.mean(axis=(0, 1))
+            var = (1 - m) * var + m * drive.var(axis=(0, 1), ddof=1)
+        assert np.allclose(layer.bn.running_mean, mean, rtol=0, atol=1e-12)
+        assert np.allclose(layer.bn.running_var, var, rtol=0, atol=1e-12)
+
     def test_gradients_flow_to_both_weight_sets(self, rng):
         layer = SpikeRNNLayer(2, 4, LIFParams(beta=0.9), rng, norm=False)
         # scale weights up so spikes occur and the recurrent path is active
@@ -292,10 +306,12 @@ class TestAbsoluteTimeModel:
             assert np.allclose(ya, yb) != expect_change
 
     def test_offset_zero_sample_sees_tick_zero_codes(self, rng):
-        from cpgsnn.blocks import cached_tick_codes, _slice_codes
+        from cpgsnn.blocks import _concat_codes, _window_codes, cached_tick_codes
 
         cfg = small_cpg()
         codes = cached_tick_codes(20, cfg)
-        pe = _slice_codes(codes, np.array([0]), t_steps=2, seq_len=10)
-        assert np.array_equal(pe.bits[0, 0], codes[:10])
-        assert np.array_equal(pe.bits[1, 0], codes[:10])
+        rows = _window_codes(codes, np.array([0]), seq_len=10)
+        x = Tensor(np.zeros((2, 1, 10, 3)))
+        pe = _concat_codes(x, rows).data[..., 3:]  # what the block sees
+        assert np.array_equal(pe[0, 0], codes[:10])
+        assert np.array_equal(pe[1, 0], codes[:10])

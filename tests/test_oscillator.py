@@ -74,6 +74,41 @@ class TestRK4:
         with pytest.raises(ValueError):
             integrate_rk4(p, 0, 0, t_end=1.0, dt=0.0)
 
+    def test_scalar_step_equals_vector_reference_exactly(self):
+        """The float step keeps the vector form's operations and their
+        order, so the two trajectories agree bit for bit."""
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            a, c = rng.uniform(0.1, 10.0, 2)
+            b, d = rng.uniform(-5.0, 5.0, 2)
+            x0, y0 = rng.uniform(-2.0, 2.0, 2)
+            p = OscillatorParams(a=a, b=b, c=c, d=d)
+            traj = integrate_rk4(p, x0, y0, t_end=1.0, dt=2e-3)
+            ref = rk4_vector_reference(p, x0, y0, t_end=1.0, dt=2e-3)
+            assert np.array_equal(traj, ref)
+
+
+def rk4_vector_reference(params, x0, y0, t_end, dt):
+    """Classical RK4 with the state as a numpy 2-vector."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+
+    def deriv(state):
+        x, y = state
+        return np.array([a * y + b, -c * x + d])
+
+    n = int(round(t_end / dt))
+    out = np.empty((n + 1, 3))
+    state = np.array([x0, y0], dtype=np.float64)
+    out[0] = (0.0, x0, y0)
+    for i in range(1, n + 1):
+        k1 = deriv(state)
+        k2 = deriv(state + 0.5 * dt * k1)
+        k3 = deriv(state + 0.5 * dt * k2)
+        k4 = deriv(state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i] = (i * dt, state[0], state[1])
+    return out
+
 
 class TestReparameterization:
     @pytest.mark.parametrize("k1,k2", [(0.7, 0.3), (-1.2, 0.5), (0.4, -0.9)])

@@ -112,6 +112,26 @@ class TestTrainLoop:
         )
 
 
+class TestPredictMode:
+    def test_predict_restores_eval_mode(self):
+        dataset = tiny_dataset()
+        model = tiny_model(pe_mode="cpg")
+        model.set_training(False)
+        ref = predict(model, dataset.valid.history, dataset.valid.offsets)
+        assert not any(m.training for m in model._bn_modules())
+        # running statistics stay frozen between calls in eval mode
+        model(dataset.valid.history[:4], dataset.valid.offsets[:4])
+        again = predict(model, dataset.valid.history, dataset.valid.offsets)
+        assert np.array_equal(ref, again)
+
+    def test_predict_restores_train_mode_on_error(self):
+        model = tiny_model()
+        model.set_training(True)
+        with pytest.raises(ValueError):
+            predict(model, np.full((2, 16, 2), np.nan))
+        assert all(m.training for m in model._bn_modules())
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         model = tiny_model(seed=1)
