@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import traceback
 from pathlib import Path
 
 from .data import DatasetSpec, build_dataset
@@ -75,7 +77,11 @@ def run_single(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
 
 def run_experiment(config: dict, out_dir: str | Path | None = None) -> dict:
-    """Train every (pe_mode, seed) pair and aggregate test metrics."""
+    """Train every (pe_mode, seed) pair and aggregate test metrics.
+
+    A run that raises is recorded with its error and traceback (the
+    traceback also goes to stderr), and the other runs go on.
+    """
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -93,8 +99,12 @@ def run_experiment(config: dict, out_dir: str | Path | None = None) -> dict:
                     log_path=log_path,
                 )
             except Exception as exc:  # partial results still emitted
+                trace = traceback.format_exc()
+                print(f"run pe_mode={pe_mode} seed={seed} failed:\n{trace}",
+                      file=sys.stderr)
                 record = {"pe_mode": pe_mode, "seed": seed,
-                          "error": f"{type(exc).__name__}: {exc}"}
+                          "error": f"{type(exc).__name__}: {exc}",
+                          "traceback": trace}
             records.append(record)
     aggregates = {}
     for pe_mode in config["pe_modes"]:

@@ -16,9 +16,10 @@ import numpy as np
 
 from .blocks import CPGPEBlock, FloatPEBlock, RandomPEBlock
 from .encoder import CPGPEConfig
-from .neuron import LIFParams, MembraneState, SpikingLayer, lif_step
+from .neuron import LIFParams, SpikingLayer, _fire_and_reset
 from .nn import BatchNorm, Linear, Module
-from .tensor import ShapeError, SpikeTensor, Tensor, shift_positions, stack
+from .tensor import (ShapeError, SpikeTensor, Tensor, repeat_leading,
+                     shift_positions)
 
 PE_MODES = ("none", "cpg", "float", "random")
 
@@ -31,7 +32,6 @@ class ModelConfig:
     t_steps: int = 4
     pe_mode: str = "none"
     recurrence: str = "step"  # step | position (rnn backbone only)
-    readout: str = "rate"  # rate | membrane
     readout_pool: str = "mean"  # mean | last (pooling over positions)
     head_hidden: int = 0  # 0 = linear head, > 0 = two-layer tanh head
     kernel_size: int = 3
@@ -47,8 +47,6 @@ class ModelConfig:
             raise ValueError(f"unknown pe_mode {self.pe_mode!r}")
         if self.recurrence not in ("step", "position"):
             raise ValueError(f"unknown recurrence {self.recurrence!r}")
-        if self.readout not in ("rate", "membrane"):
-            raise ValueError(f"unknown readout {self.readout!r}")
         if self.readout_pool not in ("mean", "last"):
             raise ValueError(f"unknown readout_pool {self.readout_pool!r}")
         if self.head_hidden < 0:
@@ -99,7 +97,7 @@ class InputEncoder(Module):
         current = self.proj(Tensor(z))  # (B, L, D)
         if self.float_pe_block is not None:
             current = self.float_pe_block(current)
-        seq = stack([current] * self.t_steps, axis=0)  # (T, B, L, D)
+        seq = repeat_leading(current, self.t_steps)  # (T, B, L, D) view
         return self.sn(seq)
 
 
@@ -117,9 +115,15 @@ class SpikeRNNLayer(Module):
     The normalization runs once per unrolled slot, so in train mode its
     running statistics take one update per slot, T (or L) per forward.
 
-    W_in is applied to the whole sequence in one Linear call and the result
-    is split per slot with `Tensor.select`; the recurrent term is skipped at
-    the first slot, where s_(t-1) = 0 contributes exactly nothing.
+    The layer is one graph node.  Its forward runs the slots in order (W_in,
+    the recurrent term, the normalization and the LIF update, in place) and
+    keeps, per slot, the spikes, the surrogate slopes and the normalization's
+    x_hat and std.  Its backward runs the BPTT of `neuron` through them in
+    reverse slot order, where the gradient of a slot's spikes also takes the
+    recurrent term's share, g_rec = gC_(t+1) @ W_rec^T, and then the W_in
+    gradients over the whole sequence.  The recurrent term is skipped at the
+    first slot, where s_(t-1) = 0 contributes exactly nothing.  Without a
+    live input or parameter the layer keeps nothing and returns a leaf.
     """
 
     def __init__(self, d_in: int, d_out: int, lif: LIFParams,
@@ -132,34 +136,65 @@ class SpikeRNNLayer(Module):
         self.bn = BatchNorm(d_out) if norm else None
         self.lif = lif
         self.recur_axis = recur_axis
-        self._last_membrane: Tensor | None = None
-
-    @property
-    def last_membrane(self) -> Tensor | None:
-        """Final-slot membrane potential from the most recent forward pass."""
-        return self._last_membrane
 
     def __call__(self, x: SpikeTensor) -> SpikeTensor:
         xt = x.to_tensor()
-        t_steps, b, l, _ = x.shape
-        d_out = self.w_in.weight.shape[1]
-        if self.recur_axis == "step":
-            axis, extent, state_shape = 0, t_steps, (b, l, d_out)
-        else:
-            axis, extent, state_shape = 2, l, (t_steps, b, d_out)
-        drive = self.w_in(xt)
-        state = MembraneState(h=Tensor(np.zeros(state_shape)))
-        outs = []
-        for t in range(extent):
-            current = drive.select(t, axis)
-            if outs:
-                current = current + outs[-1] @ self.w_rec.weight
-            if self.bn is not None:
-                current = self.bn(current)
-            s, state = lif_step(state, current, self.lif)
-            outs.append(s)
-        self._last_membrane = state.h
-        return SpikeTensor(stack(outs, axis=axis))
+        axis = 0 if self.recur_axis == "step" else 2
+        w_in, w, bn, p = self.w_in, self.w_rec.weight, self.bn, self.lif
+        parents = (xt, w_in.weight, w)
+        if w_in.bias is not None:
+            parents += (w_in.bias,)
+        if bn is not None:
+            parents += (bn.scale, bn.shift)
+        live = any(t.requires_grad for t in parents)
+        x_slots = np.moveaxis(xt.data, axis, 0)
+        spikes = np.empty(x_slots.shape[:-1] + w.shape[1:])
+        slopes = np.empty(spikes.shape) if live else None
+        norm_saved = []  # (x_hat, std) per slot
+        training = bn is not None and bn.training
+        h = np.zeros(spikes.shape[1:])
+        fired = np.empty(h.shape, dtype=bool)
+        for t in range(len(spikes)):
+            current = w_in.forward_array(x_slots[t])
+            if t > 0:
+                current += spikes[t - 1] @ w.data
+            if bn is not None:
+                current, x_hat, std = bn.normalize(current, keep_x_hat=live)
+                norm_saved.append((x_hat, std))
+            if not np.all(np.isfinite(current)):
+                raise FloatingPointError("non-finite input current")
+            h += current
+            _fire_and_reset(h, fired, p, None if slopes is None else slopes[t])
+            spikes[t] = fired
+        data = np.moveaxis(spikes, 0, axis)
+        if not live:
+            return SpikeTensor(Tensor(data))
+
+        def backward(g):
+            g = np.moveaxis(g, axis, 0)
+            g_slots = np.empty(g.shape)
+            gu = g_rec = None
+            for t in range(len(g) - 1, -1, -1):
+                gu_t = (g[t] if g_rec is None else g[t] + g_rec) * slopes[t]
+                if gu is not None:
+                    gu_t += gu * (p.beta * (1.0 - spikes[t]))
+                gu = gu_t
+                if bn is not None:
+                    gu_t = bn.backward_arrays(gu_t, *norm_saved[t], training,
+                                              True)
+                g_slots[t] = gu_t
+                if t > 0:
+                    g_rec = gu_t @ w.data.T
+                    if w.requires_grad:
+                        w._accumulate(spikes[t - 1].reshape(-1, w.shape[0]).T
+                                      @ gu_t.reshape(-1, w.shape[1]))
+            # W_in over the whole sequence, in the layout of its input
+            g_drive = np.ascontiguousarray(np.moveaxis(g_slots, 0, axis))
+            gx = w_in.backward_arrays(xt.data, g_drive, xt.requires_grad)
+            if gx is not None:
+                xt._accumulate(gx)
+
+        return SpikeTensor(Tensor._make(data, parents, backward))
 
 
 class SpikeTCNLayer(Module):
@@ -276,23 +311,11 @@ class ForecastModel(Module):
 
     def readout(self, x: SpikeTensor) -> Tensor:
         """Reduce spikes over steps and positions, project to the horizon."""
-        if self.config.readout == "membrane":
-            last = self.layers[-1]
-            memb = getattr(last, "last_membrane", None)
-            if memb is None:
-                raise ValueError(
-                    "membrane readout requires an rnn final layer"
-                )
-            if self.config.recurrence == "position":
-                pooled = memb.mean(axis=0)  # (B, D) over steps
-            else:
-                pooled = memb.mean(axis=1)  # (B, D) over positions
+        rate = x.to_tensor().mean(axis=0)  # (B, L, D) over steps
+        if self.config.readout_pool == "last":
+            pooled = rate.select(rate.shape[1] - 1, axis=1)
         else:
-            rate = x.to_tensor().mean(axis=0)  # (B, L, D) over steps
-            if self.config.readout_pool == "last":
-                pooled = rate.select(rate.shape[1] - 1, axis=1)
-            else:
-                pooled = rate.mean(axis=1)  # (B, D) over positions
+            pooled = rate.mean(axis=1)  # (B, D) over positions
         b = pooled.shape[0]
         y = self.head(pooled)
         return y.reshape(b, self.l_pred, self.in_channels)

@@ -10,9 +10,12 @@ The backward pass replaces dS/dU by the arctangent surrogate evaluated at
 U - u_thr.  The reset term's dependence on S is treated as non-differentiable:
 gradient flows through beta * U only.
 
-Both are written by hand rather than composed from elementary tensor ops.
-`lif_step` makes two graph nodes per step, the spike and the new membrane,
-each a child of the previous membrane and the input current.
+Both are written by hand rather than composed from elementary tensor ops,
+and both update the membrane in place (`_fire_and_reset`), so a step
+allocates little beyond the arrays it keeps.  `lif_step` makes two graph
+nodes per step, the spike and the new membrane, each a child of the
+previous membrane and the input current; it keeps the surrogate slopes and
+derives the reset gate beta * (1 - S) from the spikes in its backward.
 `SpikingLayer` makes one node per sequence: its forward loops over the
 steps in numpy and keeps the spikes S_t and surrogate slopes sg_t, and its
 backward runs backpropagation through time in reverse step order,
@@ -21,6 +24,12 @@ backward runs backpropagation through time in reverse step order,
 
 where g_t is the gradient arriving at S_t and gU_t is both the gradient of
 U_t and of the input current I_t (U_t = H_(t-1) + I_t).
+
+No-grad path: when no input requires grad (as in ``training.predict``,
+which turns it off on every parameter), both skip the surrogate slopes and
+the closure and return leaf tensors.  Spikes and membranes are the same on
+both paths, bit for bit: the same `U >= u_thr` test, and H = beta * U or
+v_reset, which is what the gated sum beta * (1 - S) * U + v_reset * S gives.
 """
 
 from __future__ import annotations
@@ -60,8 +69,17 @@ class MembraneState:
 
 def surrogate_grad(u, alpha: float):
     """(alpha/2) / (1 + ((pi/2) * alpha * u)^2), the stand-in for dS/dU."""
-    u = np.asarray(u, dtype=np.float64)
-    return (alpha / 2.0) / (1.0 + (np.pi / 2.0 * alpha * u) ** 2)
+    out = np.array(u, dtype=np.float64)
+    _surrogate_in_place(out, alpha)
+    return out[()]  # a scalar for a scalar u
+
+
+def _surrogate_in_place(u: np.ndarray, alpha: float) -> None:
+    """u <- surrogate_grad(u, alpha), with the same operations."""
+    u *= np.pi / 2.0 * alpha
+    np.square(u, out=u)
+    u += 1.0
+    np.divide(alpha / 2.0, u, out=u)
 
 
 def spike(u_shifted: Tensor, alpha: float) -> Tensor:
@@ -75,14 +93,18 @@ def spike(u_shifted: Tensor, alpha: float) -> Tensor:
     return Tensor._make(data, (u_shifted,), backward)
 
 
-def _membrane_update(h: np.ndarray, current: np.ndarray, params: LIFParams):
-    """One LIF step on arrays: (S, surrogate slope, dH/dU, new H)."""
-    u = h + current
-    u_shifted = u - params.u_thr
-    s = (u_shifted >= 0.0).astype(np.float64)
-    keep = params.beta * (1.0 - s)  # detached reset gate
-    h_new = u * keep + params.v_reset * s
-    return s, surrogate_grad(u_shifted, params.alpha), keep, h_new
+def _fire_and_reset(u: np.ndarray, fired: np.ndarray, params: LIFParams,
+                    slope: np.ndarray | None = None) -> None:
+    """In place: fired <- U >= u_thr, u <- the next H.
+
+    With `slope` given, it first receives the surrogate slope at U - u_thr.
+    """
+    if slope is not None:
+        np.subtract(u, params.u_thr, out=slope)
+        _surrogate_in_place(slope, params.alpha)
+    np.greater_equal(u, params.u_thr, out=fired)
+    u *= params.beta
+    np.copyto(u, params.v_reset, where=fired)
 
 
 def lif_step(
@@ -96,20 +118,29 @@ def lif_step(
         raise ValueError(
             f"state shape {h.shape} incompatible with input {i.shape}"
         )
-    s, sg, keep, h_next = _membrane_update(h.data, i.data, params)
+    live = h.requires_grad or i.requires_grad
+    h_next = h.data + i.data  # U, then H in place
+    fired = np.empty(h_next.shape, dtype=bool)
+    sg = np.empty_like(h_next) if live else None
+    _fire_and_reset(h_next, fired, params, sg)
+    s = fired.astype(np.float64)
+    if not live:
+        return Tensor(s), MembraneState(h=Tensor(h_next), step=state.step + 1)
 
-    def through_u(slope):
-        def backward(g):
-            gu = g * slope
-            if h.requires_grad:
-                h._accumulate(_unbroadcast(gu, h.shape))
-            if i.requires_grad:
-                i._accumulate(gu)
+    def route(gu):
+        if h.requires_grad:
+            h._accumulate(_unbroadcast(gu, h.shape))
+        if i.requires_grad:
+            i._accumulate(gu)
 
-        return backward
+    def spike_backward(g):
+        route(g * sg)
 
-    spikes = Tensor._make(s, (h, i), through_u(sg))
-    h_new = Tensor._make(h_next, (h, i), through_u(keep))
+    def membrane_backward(g):
+        route(g * (params.beta * (1.0 - s)))  # detached reset gate
+
+    spikes = Tensor._make(s, (h, i), spike_backward)
+    h_new = Tensor._make(h_next, (h, i), membrane_backward)
     return spikes, MembraneState(h=h_new, step=state.step + 1)
 
 
@@ -144,11 +175,17 @@ class SpikingLayer:
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite input current")
         p = self.params
-        spikes = np.empty_like(x)
-        slopes = np.empty_like(x)
+        spikes = np.empty(x.shape)  # x may be a broadcast view
+        slopes = np.empty(x.shape) if x_seq.requires_grad else None
         h = np.zeros(x.shape[1:])
+        fired = np.empty(h.shape, dtype=bool)
         for t in range(x.shape[0]):
-            spikes[t], slopes[t], _, h = _membrane_update(h, x[t], p)
+            h += x[t]
+            _fire_and_reset(h, fired, p,
+                            None if slopes is None else slopes[t])
+            spikes[t] = fired
+        if slopes is None:
+            return SpikeTensor(Tensor(spikes))
 
         def backward(g):
             gx = np.empty_like(g)

@@ -1,12 +1,15 @@
 """Trainable layers: linear maps, batch normalization, parameter bookkeeping.
 
 Checkpoints are a flat binary file of float64 values plus a JSON sidecar
-manifest recording names, shapes and byte offsets.
+manifest recording names, shapes and byte offsets.  Saving replaces both
+files by rename; loading rejects a checkpoint whose names or shapes differ
+from the module's.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,8 @@ class Linear(Module):
     """y = x @ W + b with uniform +-sqrt(1/fan_in) initialization.
 
     One graph node per call; its backward reads only x, W and the gradient.
+    `forward_array` and `backward_arrays` are the same arithmetic on arrays,
+    for a fused node that applies the layer inside its own loop.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
@@ -74,25 +79,38 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        w, b = self.weight, self.bias
-        if x.ndim < 2 or x.shape[-1] != w.shape[0]:
-            raise ShapeError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
-        data = x.data @ w.data
-        if b is not None:
-            data = data + b.data
-        lead = tuple(range(x.ndim - 1))
+        data = self.forward_array(x.data)
 
         def backward(g):
-            if x.requires_grad:
-                x._accumulate(g @ w.data.T)
-            if w.requires_grad:
-                w._accumulate(x.data.reshape(-1, w.shape[0]).T
-                              @ g.reshape(-1, w.shape[1]))
-            if b is not None and b.requires_grad:
-                b._accumulate(g.sum(axis=lead))
+            gx = self.backward_arrays(x.data, g, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
 
+        w, b = self.weight, self.bias
         parents = (x, w) if b is None else (x, w, b)
         return Tensor._make(data, parents, backward)
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """x @ W + b on an array."""
+        w = self.weight
+        if x.ndim < 2 or x.shape[-1] != w.shape[0]:
+            raise ShapeError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
+        data = x @ w.data
+        if self.bias is not None:
+            data += self.bias.data
+        return data
+
+    def backward_arrays(self, x: np.ndarray, g: np.ndarray,
+                        input_grad: bool) -> np.ndarray | None:
+        """Accumulate the weight and bias gradients of one call on input x;
+        return the input gradient when `input_grad` is set."""
+        w, b = self.weight, self.bias
+        if w.requires_grad:
+            w._accumulate(x.reshape(-1, w.shape[0]).T
+                          @ g.reshape(-1, w.shape[1]))
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=tuple(range(x.ndim - 1))))
+        return g @ w.data.T if input_grad else None
 
 
 class BatchNorm(Module):
@@ -110,7 +128,10 @@ class BatchNorm(Module):
         dx = (gy - mean(gy) - x_hat * mean(gy * x_hat)) / std,
 
     and the eval-mode backward is dx = gy / std with the running std.  Both
-    keep x_hat and std, nothing else of the forward.
+    keep x_hat and std, nothing else of the forward, and without a live
+    input or parameter they keep nothing.  `normalize` and
+    `backward_arrays` are the same arithmetic on arrays, for the recurrent
+    layer's fused node.
     """
 
     def __init__(self, n_features: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -126,18 +147,36 @@ class BatchNorm(Module):
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
+        live = x.requires_grad or self.scale.requires_grad
+        y, x_hat, std = self.normalize(x.data.copy(), keep_x_hat=live)
+        training = self.training
+
+        def backward(g):
+            gx = self.backward_arrays(g, x_hat, std, training, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
+
+        return Tensor._make(y, (x, self.scale, self.shift), backward)
+
+    def normalize(self, x: np.ndarray, keep_x_hat: bool = True):
+        """Normalize the array x in place, so that it becomes x_hat, and
+        return (y, x_hat, std); in train mode the running statistics take
+        one update.  Without `keep_x_hat`, y is built in x_hat's buffer and
+        x_hat comes back as None."""
         if x.shape[-1] != self.n_features:
             raise ShapeError(
                 f"expected {self.n_features} features, got input shape {x.shape}"
             )
         axes = tuple(range(x.ndim - 1))
+        x_hat, y = x, None
         if self.training:
             n = int(np.prod(x.shape[:-1]))
             if n < 2:
                 raise ValueError(f"batch of size {n} < 2 in train mode")
-            mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / n)
-            xc = x.data - mu
-            var = (xc * xc).sum(axis=axes, keepdims=True) * (1.0 / n)
+            mu = x.sum(axis=axes, keepdims=True) * (1.0 / n)
+            x_hat -= mu
+            y = x_hat * x_hat  # the squares first, the output later
+            var = y.sum(axis=axes, keepdims=True) * (1.0 / n)
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(-1)
             # unbiased estimate for the running variance, matching convention
@@ -146,49 +185,70 @@ class BatchNorm(Module):
                 + m * var.reshape(-1) * n / max(n - 1, 1)
             )
             std = np.sqrt(var + self.eps)
-            x_hat = xc / std
         else:
             std = np.sqrt(self.running_var + self.eps)
-            x_hat = (x.data - self.running_mean) / std
-        scale, shift, training = self.scale, self.shift, self.training
+            x_hat -= self.running_mean
+        x_hat /= std
+        if keep_x_hat:  # into the squares' buffer in train mode
+            y = np.multiply(x_hat, self.scale.data, out=y)
+        else:
+            y, x_hat = x_hat, None
+            y *= self.scale.data
+        y += self.shift.data
+        return y, x_hat, std
 
-        def backward(g):
-            if scale.requires_grad:
-                scale._accumulate((g * x_hat).sum(axis=axes))
-            if shift.requires_grad:
-                shift._accumulate(g.sum(axis=axes))
-            if not x.requires_grad:
-                return
-            gy = g * scale.data
-            if training:
-                gy = (gy - gy.mean(axis=axes, keepdims=True)
-                      - x_hat * (gy * x_hat).mean(axis=axes, keepdims=True))
-            x._accumulate(gy / std)
-
-        return Tensor._make(x_hat * scale.data + shift.data,
-                            (x, scale, shift), backward)
+    def backward_arrays(self, g: np.ndarray, x_hat: np.ndarray,
+                        std: np.ndarray, training: bool,
+                        input_grad: bool) -> np.ndarray | None:
+        """Accumulate the scale and shift gradients of one call; return the
+        input gradient when `input_grad` is set."""
+        axes = tuple(range(g.ndim - 1))
+        if self.scale.requires_grad:
+            self.scale._accumulate((g * x_hat).sum(axis=axes))
+        if self.shift.requires_grad:
+            self.shift._accumulate(g.sum(axis=axes))
+        if not input_grad:
+            return None
+        gy = g * self.scale.data
+        if training:
+            gy = (gy - gy.mean(axis=axes, keepdims=True)
+                  - x_hat * (gy * x_hat).mean(axis=axes, keepdims=True))
+        return gy / std
 
 
 def save_checkpoint(module: Module, path: str | Path) -> None:
-    """Write parameters and buffers as flat float64 binary + JSON manifest."""
+    """Write parameters and buffers as flat float64 binary + JSON manifest.
+
+    Both files are first written in full as `<name>.tmp` beside their
+    targets and then renamed over them, so a failed save leaves any previous
+    checkpoint as it was.
+    """
     path = Path(path)
     manifests = {"params": [], "buffers": []}
+    raws = []
     offset = 0
-    with open(path, "wb") as fh:
-        for kind, entries in (
-            ("params", [(n, p.data) for n, p in module.parameters()]),
-            ("buffers", module.buffers()),
-        ):
-            for name, arr in entries:
-                raw = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-                fh.write(raw)
-                manifests[kind].append(
-                    {"name": name, "shape": list(arr.shape), "offset": offset}
-                )
-                offset += len(raw)
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps({"dtype": "float64", **manifests}, indent=2)
-    )
+    for kind, entries in (
+        ("params", [(n, p.data) for n, p in module.parameters()]),
+        ("buffers", module.buffers()),
+    ):
+        for name, arr in entries:
+            raws.append(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            manifests[kind].append(
+                {"name": name, "shape": list(arr.shape), "offset": offset}
+            )
+            offset += len(raws[-1])
+    manifest = json.dumps({"dtype": "float64", **manifests}, indent=2)
+    files = [(path, b"".join(raws)),
+             (path.with_suffix(path.suffix + ".json"), manifest.encode())]
+    temps = [target.with_name(target.name + ".tmp") for target, _ in files]
+    try:
+        for tmp, (_, payload) in zip(temps, files):
+            tmp.write_bytes(payload)
+        for tmp, (target, _) in zip(temps, files):
+            os.replace(tmp, target)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _read_entry(blob: bytes, entry: dict) -> np.ndarray:
@@ -200,26 +260,46 @@ def _read_entry(blob: bytes, entry: dict) -> np.ndarray:
 
 
 def load_checkpoint(module: Module, path: str | Path) -> None:
+    """Load a checkpoint written by `save_checkpoint` into `module`.
+
+    The checkpoint must hold exactly the module's parameters and buffers,
+    with the same shapes; otherwise one error names every mismatch and the
+    module is left unchanged.
+    """
     path = Path(path)
     manifest = json.loads(path.with_suffix(path.suffix + ".json").read_text())
     blob = path.read_bytes()
-    params = dict(module.parameters())
-    for entry in manifest["params"]:
-        p = params[entry["name"]]
-        arr = _read_entry(blob, entry)
-        if p.shape != arr.shape:
-            raise ShapeError(
-                f"checkpoint shape {arr.shape} != parameter shape {p.shape} "
-                f"for {entry['name']}"
-            )
-        p.data = arr.copy()
-    buffers = dict(module.buffers())
-    for entry in manifest.get("buffers", []):
-        b = buffers[entry["name"]]
-        arr = _read_entry(blob, entry)
-        if b.shape != arr.shape:
-            raise ShapeError(
-                f"checkpoint shape {arr.shape} != buffer shape {b.shape} "
-                f"for {entry['name']}"
-            )
-        b[...] = arr
+    targets = {
+        "parameter": {name: p for name, p in module.parameters()},
+        "buffer": dict(module.buffers()),
+    }
+    entries = {"parameter": manifest["params"],
+               "buffer": manifest.get("buffers", [])}
+    problems = []
+    for kind in targets:
+        saved = [e["name"] for e in entries[kind]]
+        missing = [n for n in targets[kind] if n not in saved]
+        extra = [n for n in saved if n not in targets[kind]]
+        if missing:
+            problems.append(f"missing {kind}s {missing}")
+        if extra:
+            problems.append(f"extra {kind}s {extra}")
+    if problems:
+        raise ValueError(f"checkpoint {path} does not match the module: "
+                         + "; ".join(problems))
+    loaded = []
+    for kind in targets:
+        for entry in entries[kind]:
+            target = targets[kind][entry["name"]]
+            arr = _read_entry(blob, entry)
+            if target.shape != arr.shape:
+                raise ShapeError(
+                    f"checkpoint shape {arr.shape} != {kind} shape "
+                    f"{target.shape} for {entry['name']}"
+                )
+            loaded.append((kind, target, arr))
+    for kind, target, arr in loaded:
+        if kind == "parameter":
+            target.data = arr.copy()
+        else:
+            target[...] = arr

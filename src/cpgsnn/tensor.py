@@ -16,12 +16,23 @@ backward reads and skips parents that need no gradient:
   batch statistics (train mode), or one affine map (eval mode);
 - ``neuron.SpikingLayer``: a whole LIF sequence with a BPTT backward, and
   ``neuron.lif_step``: one spike node and one membrane node per step;
+- ``models.SpikeRNNLayer``: the whole layer, a scan over its slots (input
+  map, recurrent term, normalisation and LIF update) with a BPTT backward;
 - ``blocks``: the concatenation of spikes and positional codes, whose
   backward routes only the spike slice.
 
-``Tensor.select`` takes one slice along an axis; its backward adds into that
-slice of the parent's gradient, so splitting a sequence into steps allocates
-the parent's gradient once rather than once per step.
+No-grad path: an op links its parents and keeps its closure only when some
+parent requires grad or has parents of its own; otherwise it returns a leaf
+and the closure is dropped at once.  With ``requires_grad`` off on every
+parameter, as ``training.predict`` sets it for the length of a call, a
+forward pass therefore builds no graph, and the fused LIF nodes also skip
+the arrays only their backward reads.  No layer keeps a reference to its
+output, so a graph lives exactly as long as the caller holds its outputs.
+
+``Tensor.mean`` is one node (the sum and the scaling together).
+``repeat_leading`` repeats a tensor along a new leading axis as a read-only
+view.  ``Tensor.select`` takes one slice along an axis; its backward adds
+into that slice of the parent's gradient.
 
 Spiking activations travel between layers as ``SpikeTensor``: a strictly
 binary (T, B, L, D) array, optionally carrying a reference to the graph node
@@ -59,7 +70,8 @@ def _as_const(x) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus a gradient slot and a backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -204,18 +216,7 @@ class Tensor:
     # -- reductions / reshaping ----------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(gg, self.shape).copy())
-
-        return Tensor._make(data, (self,), backward)
+        return self._sum(axis, keepdims)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -223,7 +224,22 @@ class Tensor:
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             n = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self._sum(axis, keepdims, 1.0 / n)
+
+    def _sum(self, axis, keepdims, scale=None):
+        """Sum over `axis`, then times `scale` if one is given; one node."""
+        data = self.data.sum(axis=axis, keepdims=keepdims)
+        if scale is not None:
+            data *= scale
+
+        def backward(g):
+            if scale is not None:
+                g = g * scale
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape).copy())
+
+        return Tensor._make(data, (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -335,6 +351,17 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
             t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor._make(data, tuple(tensors), backward)
+
+
+def repeat_leading(x: Tensor, n: int) -> Tensor:
+    """n copies of x along a new leading axis, as a read-only view; the
+    backward sums the n gradients."""
+    data = np.broadcast_to(x.data, (n,) + x.shape)
+
+    def backward(g):
+        x._accumulate(g.sum(axis=0))
+
+    return Tensor._make(data, (x,), backward)
 
 
 def shift_positions(x: Tensor, offset: int, axis: int) -> Tensor:

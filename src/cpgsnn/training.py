@@ -1,5 +1,13 @@
 """Surrogate-gradient trainer: MSE on standardized targets, Adam or
-momentum SGD, early stopping on validation R^2, JSON-lines logging."""
+momentum SGD, early stopping on validation R^2, JSON-lines logging.
+
+`predict` runs without a graph: for the length of the call it turns
+`requires_grad` off on every parameter the model lists (and BatchNorm to
+eval mode), so every op returns a leaf and the LIF layers take their
+forward-only path; both are restored on return, also on error.  `train`
+builds the graph as usual, and each minibatch's graph is freed when its
+loss goes out of scope.
+"""
 
 from __future__ import annotations
 
@@ -84,12 +92,16 @@ def destandardize(model: ForecastModel, values: np.ndarray) -> np.ndarray:
 def predict(model: ForecastModel, history: np.ndarray,
             offsets: np.ndarray | None = None,
             batch_size: int = 256) -> np.ndarray:
-    """De-standardized predictions for a full split, eval mode.
+    """De-standardized predictions for a full split, eval mode, no graph.
 
-    The caller's train/eval mode is restored on return, also on error.
+    The caller's train/eval mode and each parameter's `requires_grad` are
+    restored on return, also on error.
     """
     modes = [(m, m.training) for m in model._bn_modules()]
+    params = [p for _, p in model.parameters()]
     model.set_training(False)
+    for p in params:
+        p.requires_grad = False
     outs = []
     try:
         for lo in range(0, history.shape[0], batch_size):
@@ -97,6 +109,8 @@ def predict(model: ForecastModel, history: np.ndarray,
             pred = model(history[lo:lo + batch_size], off)
             outs.append(pred.data)
     finally:
+        for p in params:
+            p.requires_grad = True
         for m, training in modes:
             m.training = training
     return destandardize(model, np.concatenate(outs, axis=0))
@@ -122,10 +136,12 @@ def train(model: ForecastModel, dataset: Dataset,
         t0 = time.perf_counter()
         model.set_training(True)
         losses = []
+        skipped = 0
         for hist, targ, offs in iter_batches(dataset.train, config.batch_size,
                                              rng):
             if hist.shape[0] < 2:
-                continue  # batch-norm needs a real batch
+                skipped += 1  # batch-norm needs a real batch
+                continue
             model.zero_grad()
             pred = model(hist, offs)
             loss = mse_loss(pred, standardize_target(model, targ))
@@ -143,6 +159,7 @@ def train(model: ForecastModel, dataset: Dataset,
             "epoch": epoch,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
             "valid_r2": float(valid_r2),
+            "skipped_batches": skipped,
             "wall_ms": int(1000 * (time.perf_counter() - t0)),
         }
         log.append(entry)

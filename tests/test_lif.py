@@ -223,3 +223,40 @@ def test_lif_step_matches_elementary_composition(params):
     assert np.abs(gh_a - gh_b).max() <= 1e-12
     for a, b in zip(gi_a, gi_b):
         assert np.abs(a - b).max() <= 1e-12
+
+
+NO_GRAD_PARAM_SETS = PARAM_SETS + [
+    LIFParams(beta=0.7, u_thr=0.8, v_reset=0.2, alpha=3.0),
+]
+
+
+@pytest.mark.parametrize("params", NO_GRAD_PARAM_SETS)
+@pytest.mark.parametrize("t_steps", [1, 2, 5])
+def test_no_grad_paths_match_grad_paths(params, t_steps):
+    """Without a live input both LIF forms build no node and reproduce the
+    graph forms' spikes and membranes bit for bit."""
+    rng = np.random.default_rng(10 + t_steps)
+    x0 = rng.normal(0.5, 1.0, size=(t_steps, 3, 4, 5))
+    x0[0, 0, 0] = params.u_thr  # exactly at threshold from rest
+
+    graded = SpikingLayer(params)(Tensor(x0, requires_grad=True))
+    plain = SpikingLayer(params)(Tensor(x0))
+    assert graded.node._parents
+    assert plain.node._parents == () and not plain.node.requires_grad
+    assert plain.node.data.tobytes() == graded.node.data.tobytes()
+    assert np.array_equal(plain.bits, graded.bits)
+    assert plain.bits[0, 0, 0].all()
+    assert 0 < plain.bits.sum() < plain.bits.size
+
+    zeros = np.zeros(x0.shape[1:])
+    state_g = MembraneState(h=Tensor(zeros))
+    state_p = MembraneState(h=Tensor(zeros))
+    for t in range(t_steps):
+        s_g, state_g = lif_step(state_g, Tensor(x0[t], requires_grad=True),
+                                params)
+        s_p, state_p = lif_step(state_p, Tensor(x0[t]), params)
+        assert s_p._parents == () and state_p.h._parents == ()
+        assert s_p.data.tobytes() == s_g.data.tobytes()
+        assert state_p.h.data.tobytes() == state_g.h.data.tobytes()
+        assert state_p.step == state_g.step == t + 1
+        assert np.array_equal(s_p.data, plain.bits[t])

@@ -1,3 +1,6 @@
+import copy
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,8 @@ from cpgsnn.models import (
     SpikeRNNLayer,
     SpikeTCNLayer,
 )
-from cpgsnn.neuron import LIFParams, lif_step_values
-from cpgsnn.tensor import ShapeError, SpikeTensor, Tensor
+from cpgsnn.neuron import LIFParams, MembraneState, lif_step, lif_step_values
+from cpgsnn.tensor import ShapeError, SpikeTensor, Tensor, stack
 
 
 def small_cpg():
@@ -80,13 +83,6 @@ class TestSpikeRNNLayer:
         out2 = layer(SpikeTensor(x.bits[:, :, perm, :]))
         assert np.array_equal(out2.bits, out1.bits[:, :, perm, :])
 
-    def test_stores_last_membrane(self, rng):
-        layer = SpikeRNNLayer(2, 3, LIFParams(), rng)
-        x = SpikeTensor(np.ones((2, 1, 2, 2), dtype=np.uint8))
-        layer(x)
-        assert layer.last_membrane is not None
-        assert layer.last_membrane.shape == (1, 2, 3)
-
     def test_shared_norm_updates_running_stats_once_per_step(self, rng):
         layer = SpikeRNNLayer(2, 3, LIFParams(), rng)
         layer.w_rec.weight.data[:] = 0.0  # current_t = x_t @ W_in + b
@@ -110,6 +106,82 @@ class TestSpikeRNNLayer:
         out.to_tensor().sum().backward()
         assert np.abs(layer.w_in.weight.grad).sum() > 0
         assert np.abs(layer.w_rec.weight.grad).sum() > 0
+
+
+def rnn_reference(layer, x):
+    """SpikeRNNLayer composed from per-slot nodes: select, the recurrent
+    matmul and add, BatchNorm, lif_step, then stack."""
+    t_steps, b, l, _ = x.shape
+    d_out = layer.w_in.weight.shape[1]
+    if layer.recur_axis == "step":
+        axis, extent, state_shape = 0, t_steps, (b, l, d_out)
+    else:
+        axis, extent, state_shape = 2, l, (t_steps, b, d_out)
+    drive = layer.w_in(x.to_tensor())
+    state = MembraneState(h=Tensor(np.zeros(state_shape)))
+    outs = []
+    for t in range(extent):
+        current = drive.select(t, axis)
+        if outs:
+            current = current + outs[-1] @ layer.w_rec.weight
+        if layer.bn is not None:
+            current = layer.bn(current)
+        s, state = lif_step(state, current, layer.lif)
+        outs.append(s)
+    return stack(outs, axis=axis)
+
+
+@pytest.mark.parametrize("recur_axis", ["step", "position"])
+@pytest.mark.parametrize("norm,training", [(True, True), (True, False),
+                                           (False, True)])
+@pytest.mark.parametrize("t_steps", [1, 2, 3])
+def test_rnn_scan_matches_per_slot_graph(recur_axis, norm, training, t_steps):
+    """The one-node scan equals the per-slot composition it replaces."""
+    rng = np.random.default_rng(t_steps)
+    layer = SpikeRNNLayer(3, 4, LIFParams(beta=0.8, u_thr=0.7, v_reset=-0.1),
+                          rng, recur_axis, norm)
+    layer.w_in.weight.data *= 3.0
+    layer.w_in.bias.data[:] = rng.normal(size=4)
+    if norm:
+        layer.bn.training = training
+        layer.bn.running_mean = rng.normal(size=4)
+        layer.bn.running_var = rng.uniform(0.5, 2.0, size=4)
+        layer.bn.scale.data = rng.uniform(0.5, 1.5, size=4)
+        layer.bn.shift.data = rng.normal(0.3, 0.5, size=4)
+    twin = copy.deepcopy(layer)
+    bits = (rng.random((t_steps, 2, 5, 3)) < 0.5).astype(np.float64)
+    weights = rng.normal(size=(t_steps, 2, 5, 4))
+
+    runs = []
+    for model, forward in ((layer, lambda m, x: m(x).to_tensor()),
+                           (twin, rnn_reference)):
+        x = Tensor(bits, requires_grad=True)
+        out = forward(model, SpikeTensor(x))
+        (out * weights).sum().backward()
+        params = [p.grad for _, p in model.parameters()]
+        stats = [b.copy() for _, b in model.buffers()]
+        runs.append((out.data, x.grad, params, stats))
+    (out_a, gx_a, gp_a, st_a), (out_b, gx_b, gp_b, st_b) = runs
+
+    assert 0 < out_b.sum() < out_b.size  # both branches exercised
+    # same operations in the same order: equal to the last bit
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(gx_a, gx_b)
+    for a, b in zip(gp_a, gp_b):  # W_rec gets no gradient from one slot
+        assert (a is None and b is None) or np.array_equal(a, b)
+    for a, b in zip(st_a, st_b):
+        assert np.array_equal(a, b)
+
+
+def test_rnn_scan_without_grad_builds_no_node(rng):
+    layer = SpikeRNNLayer(3, 4, LIFParams(), rng)
+    x = SpikeTensor((rng.random((2, 2, 5, 3)) < 0.5).astype(np.uint8))
+    graded = layer(x).node
+    for _, p in layer.parameters():
+        p.requires_grad = False
+    plain = layer(x).node
+    assert graded._parents and plain._parents == ()
+    assert np.array_equal(graded.data, plain.data)
 
 
 class TestSpikeTCNLayer:
@@ -212,27 +284,29 @@ class TestForecastModel:
         delta = with_pe.n_parameters() - base.n_parameters()
         assert delta == (d + 2 * n) * d + d + 2 * d
 
-    def test_membrane_readout(self, rng):
-        model = ForecastModel(
-            make_config(backbone="rnn", readout="membrane"), 2, 3
-        )
-        pred = model(rng.normal(size=(2, 8, 2)))
-        assert pred.shape == (2, 3, 2)
-
-    def test_membrane_readout_requires_rnn(self, rng):
-        model = ForecastModel(
-            make_config(backbone="tcn", readout="membrane"), 2, 3
-        )
-        with pytest.raises(ValueError):
-            model(rng.normal(size=(2, 8, 2)))
+    @pytest.mark.parametrize("pe_mode", ["none", "cpg"])
+    def test_train_forward_graph_freed_with_its_outputs(self, rng, pe_mode):
+        # no layer keeps its last forward graph once the caller drops it
+        model = ForecastModel(make_config(pe_mode=pe_mode), 2, 3)
+        model.set_training(True)
+        pred = model(rng.normal(size=(4, 8, 2)))
+        nodes, todo = [], [pred]
+        while todo:
+            node = todo.pop()
+            if node._parents:
+                nodes.append(weakref.ref(node))
+                todo.extend(node._parents)
+        assert len(nodes) > 5
+        del pred, node, todo
+        assert all(ref() is None for ref in nodes)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(backbone="transformer")
         with pytest.raises(ValueError):
             ModelConfig(pe_mode="learned")
-        with pytest.raises(ValueError):
-            ModelConfig(readout="max")
+        with pytest.raises(TypeError):  # the readout knob was removed
+            ModelConfig(readout="rate")
 
 
 def test_overfit_tiny_dataset():

@@ -9,6 +9,7 @@ from cpgsnn.tensor import (
     Tensor,
     concat,
     concat_features,
+    repeat_leading,
     shift_positions,
     stack,
 )
@@ -110,6 +111,7 @@ class TestBackward:
         lambda a, b: concat([a, b], axis=1),
         lambda a, b: stack([a, b], axis=0),
         lambda a, b: a.mean(axis=0) + b.sum(axis=0),
+        lambda a, b: repeat_leading(a, 3) * b,
     ],
 )
 def test_op_gradcheck(op, rng):
@@ -125,6 +127,22 @@ def test_op_gradcheck(op, rng):
     for t, i in ((a, 0), (b, 1)):
         num = numeric_grad(loss, (a0, b0), i)
         assert rel_err(t.grad, num).max() < 1e-4
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_repeat_leading_equals_stack_of_copies(n, rng):
+    x0 = rng.normal(size=(2, 3, 4))
+    weights = rng.normal(size=(n, 2, 3, 4))
+    runs = []
+    for repeat in (lambda x: repeat_leading(x, n),
+                   lambda x: stack([x] * n, axis=0)):
+        x = Tensor(x0, requires_grad=True)
+        y = repeat(x)
+        (y * weights).sum().backward()
+        runs.append((y.data, x.grad))
+    (y_a, g_a), (y_b, g_b) = runs
+    assert np.array_equal(y_a, y_b)
+    assert np.array_equal(g_a, g_b)  # the n gradients summed in step order
 
 
 def test_broadcast_add_gradcheck(rng):

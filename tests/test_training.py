@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cpgsnn import experiment, nn
 from cpgsnn.data import DatasetSpec, build_dataset
 from cpgsnn.experiment import parse_config, run_experiment, run_single
 from cpgsnn.models import ForecastModel, ModelConfig
@@ -13,6 +14,7 @@ from cpgsnn.training import (
     DivergenceError,
     MomentumSGD,
     TrainConfig,
+    destandardize,
     mse_loss,
     predict,
     train,
@@ -99,6 +101,17 @@ class TestTrainLoop:
             out["best_valid_r2"], abs=1e-9
         )
 
+    def test_skipped_batches_logged(self):
+        # 140 training windows: batches of 139 and 1, the 1 is skipped
+        dataset = tiny_dataset()
+        assert dataset.train.n % 139 == 1
+        out = train(tiny_model(), dataset,
+                    TrainConfig(lr=1e-2, epochs=2, batch_size=139))
+        assert [e["skipped_batches"] for e in out["log"]] == [1, 1]
+        out = train(tiny_model(), dataset,
+                    TrainConfig(lr=1e-2, epochs=1, batch_size=70))
+        assert out["log"][0]["skipped_batches"] == 0
+
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
             train(tiny_model(), tiny_dataset(),
@@ -132,6 +145,44 @@ class TestPredictMode:
         assert all(m.training for m in model._bn_modules())
 
 
+class TestNoGradPredict:
+    def test_matches_eval_mode_graph_forward(self, monkeypatch):
+        dataset = tiny_dataset()
+        model = tiny_model(pe_mode="cpg")
+        train(model, dataset, TrainConfig(lr=1e-2, epochs=2, batch_size=16))
+        hist, offs = dataset.valid.history, dataset.valid.offsets
+        model.set_training(False)
+        graph_out = model(hist, offs)
+        assert graph_out._parents  # the parameters make it a graph
+        ref = destandardize(model, graph_out.data)
+
+        outputs = []
+        forward = ForecastModel.__call__
+
+        def spy(self, *args):
+            outputs.append(forward(self, *args))
+            return outputs[-1]
+
+        monkeypatch.setattr(ForecastModel, "__call__", spy)
+        pred = predict(model, hist, offs)
+        assert np.array_equal(pred, ref)
+        assert outputs and all(o._parents == () for o in outputs)
+
+    def test_restores_requires_grad(self):
+        model = tiny_model()
+        params = [p for _, p in model.parameters()]
+        frozen = params[0]
+        frozen.requires_grad = False  # a caller's frozen parameter stays so
+        dataset = tiny_dataset()
+        predict(model, dataset.valid.history, dataset.valid.offsets)
+        assert [p.requires_grad for p in params] == [False] + [True] * (
+            len(params) - 1)
+        with pytest.raises(ValueError):
+            predict(model, np.full((2, 16, 2), np.nan))
+        assert [p.requires_grad for p in params] == [False] + [True] * (
+            len(params) - 1)
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         model = tiny_model(seed=1)
@@ -160,6 +211,38 @@ class TestCheckpoints:
         model(rng.normal(size=(3, 10, 2)))
         after = [name for name, _ in model.parameters()]
         assert before == after
+
+    def test_name_mismatch_rejected(self, tmp_path):
+        # the linear head has head.{weight,bias}, the MLP head head.fc1/fc2
+        path = tmp_path / "model.bin"
+        save_checkpoint(tiny_model(), path)
+        cfg = ModelConfig(hidden_dim=8, n_layers=1, t_steps=2, head_hidden=4)
+        clone = ForecastModel(cfg, 2, 4)
+        before = [p.data.copy() for _, p in clone.parameters()]
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(clone, path)
+        message = str(err.value)
+        assert "missing parameters" in message and "extra parameters" in message
+        for name in ("head.fc1.weight", "head.fc2.bias", "'head.weight'",
+                     "'head.bias'"):
+            assert name in message
+        for b, (_, p) in zip(before, clone.parameters()):
+            assert np.array_equal(b, p.data)  # nothing was loaded
+
+    def test_save_replaces_files_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_checkpoint(tiny_model(seed=1), path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "model.bin", "model.bin.json"]
+        saved = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(nn.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(tiny_model(seed=2), path)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == saved
 
     def test_shape_mismatch_rejected(self, tmp_path, rng):
         small = Linear(2, 3, rng)
@@ -216,6 +299,34 @@ class TestExperiment:
         assert result["aggregates"]["none"]["n_runs"] == 2
         saved = json.loads((tmp_path / "results.json").read_text())
         assert saved["aggregates"] == result["aggregates"]
+
+    def test_failed_run_keeps_traceback(self, tmp_path, monkeypatch, capsys):
+        real = experiment.run_single
+
+        def flaky(dataset, model_cfg, train_cfg, seed, pe_mode, **kw):
+            if seed == 1:
+                raise DivergenceError("forced failure")
+            return real(dataset, model_cfg, train_cfg, seed, pe_mode, **kw)
+
+        monkeypatch.setattr(experiment, "run_single", flaky)
+        doc = {
+            "dataset": {"length": 220, "n_channels": 2, "l_obs": 16,
+                        "l_pred": 4, "periods": [10.0, 7.0]},
+            "model": {"hidden_dim": 8, "t_steps": 2},
+            "train": {"epochs": 1, "batch_size": 16},
+            "seeds": [0, 1],
+            "pe_modes": ["none"],
+        }
+        result = run_experiment(parse_config(doc), out_dir=tmp_path)
+        ok, failed = result["records"]
+        assert "test" in ok and "error" not in ok
+        assert failed["error"] == "DivergenceError: forced failure"
+        assert failed["traceback"].startswith("Traceback")
+        assert "in flaky" in failed["traceback"]
+        assert failed["traceback"] in capsys.readouterr().err
+        assert result["aggregates"]["none"]["n_runs"] == 1
+        saved = json.loads((tmp_path / "results.json").read_text())
+        assert saved["records"][1]["traceback"] == failed["traceback"]
 
     def test_results_are_deterministic(self, tmp_path):
         doc = {
