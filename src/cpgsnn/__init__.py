@@ -39,7 +39,7 @@ from .circuit import (
     verify_grid,
     verify_period,
 )
-from .blocks import CPGLinearLayer, CPGPEBlock, FloatPEBlock, RandomPEBlock
+from .blocks import CPGLinearLayer, CPGPEBlock, FloatPEBlock
 from .models import ForecastModel, ModelConfig, SpikeRNNLayer, SpikeTCNLayer
 from .metrics import MetricReport, compute_r2, compute_rse, evaluate
 from .data import DatasetSpec, build_dataset, gen_series, make_windows

@@ -6,44 +6,61 @@ so the output stays strictly binary.  Direct elementwise addition of two
 spike matrices is structurally impossible here: binary payloads only meet
 through concatenation or through real-valued pre-activations.
 
-The block's input is one graph node: the window's rows of a float64
-per-tick code table (kept by the block, rebuilt only to grow), gathered with
-one fancy index and concatenated after the spikes.  The codes are constants,
-so its backward routes only the spike slice.
+Every code comes from one private float64 table of per-tick codes that a
+block builds on its first call and only grows: row n is the CPG code of
+tick n (`encoder.cpg_pe_at`) or, for the random-code baseline, row n of a
+seeded Bernoulli matrix.  Two reads index it:
+
+- without offsets, the paper's T x L code, the first T*L rows step-major:
+  step s, position p reads tick s*L + p (equal to `encoder.generate_pe`);
+- with per-window offsets, absolute time: sample b at position p reads
+  tick offsets[b] + p on every step, gathered with one fancy index.
+
+The codes are concatenated after the spikes in one graph node; they are
+constants, so its backward routes only the spike slice.
 
 `CPGLinearLayer` is the drop-in linear variant: two parallel projections
 (input and positional code) are summed as real values before BN and the
 spiking layer.  With block-structured weights it reproduces the concat
-block bit-exactly.
+block bit-exactly; it reads the step-major code from its own table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .encoder import CPGPEConfig, float_pe, generate_pe, random_pe
+from .encoder import CPGPEConfig, cpg_pe_at, float_pe, random_pe
 from .neuron import LIFParams, SpikingLayer
 from .nn import BatchNorm, Linear, Module
 from .tensor import ShapeError, SpikeTensor, Tensor
 
-_PE_CACHE: dict[tuple, SpikeTensor] = {}
+
+def _grown_table(table: np.ndarray | None, n_ticks: int, config: CPGPEConfig,
+                 random_seed: int | None = None) -> np.ndarray:
+    """`table` if it holds `n_ticks` codes, else a float64 table of that many.
+
+    Row n is `cpg_pe_at(n, config)`, or with a `random_seed` row n of a
+    seeded Bernoulli(0.5) matrix of the same width.  Bernoulli rows are
+    drawn tick-major, so in both sources a longer table agrees with a
+    shorter one on their shared prefix.
+    """
+    if table is not None and len(table) >= n_ticks:
+        return table
+    if random_seed is None:
+        codes = cpg_pe_at(np.arange(n_ticks), config)
+    else:
+        codes = random_pe(n_ticks, config.width, 0.5, random_seed)
+    return codes.astype(np.float64)
 
 
-def cached_pe(t_steps: int, seq_len: int, config: CPGPEConfig) -> SpikeTensor:
-    """The positional tensor is input-independent; compute once per shape."""
-    key = (
-        t_steps, seq_len, config.n_pairs, config.tau, config.eta,
-        config.v_thres, config.flatten_order,
-    )
-    if key not in _PE_CACHE:
-        _PE_CACHE[key] = generate_pe(t_steps, seq_len, config)
-    return _PE_CACHE[key]
+def _step_codes(table: np.ndarray, t_steps: int, seq_len: int) -> np.ndarray:
+    """(T, 1, L, W) step-major code: step s, position p reads tick s*L + p."""
+    return table[:t_steps * seq_len].reshape(t_steps, 1, seq_len, -1)
 
 
 def _broadcast_pe(pe: SpikeTensor, batch: int) -> SpikeTensor:
     t, _, l, w = pe.shape
-    bits = np.broadcast_to(pe.bits, (t, batch, l, w))
-    return SpikeTensor(bits.copy())
+    return SpikeTensor(np.broadcast_to(pe.bits, (t, batch, l, w)))
 
 
 def _window_codes(table: np.ndarray, offsets: np.ndarray,
@@ -76,13 +93,13 @@ def _concat_codes(x: Tensor, codes: np.ndarray) -> Tensor:
     return Tensor._make(data, (x,), backward)
 
 
-def cached_tick_codes(horizon: int, config: CPGPEConfig) -> np.ndarray:
-    """(horizon, width) per-tick CPG codes for absolute-time indexing."""
-    return cached_pe(1, horizon, config).bits[0, 0]
-
-
 class CPGPEBlock(Module):
-    """Dimension-neutral positional block: (T,B,L,D) -> (T,B,L,D)."""
+    """Dimension-neutral positional block: (T,B,L,D) -> (T,B,L,D).
+
+    Its codes are the CPG codes of `config`, or with a `random_seed` the
+    ablation baseline: fixed seeded Bernoulli(0.5) codes of the same width,
+    through the same concat -> Linear -> BN -> SN plumbing.
+    """
 
     def __init__(
         self,
@@ -90,21 +107,21 @@ class CPGPEBlock(Module):
         config: CPGPEConfig,
         lif: LIFParams | None = None,
         rng: np.random.Generator | None = None,
+        random_seed: int | None = None,
     ):
         rng = rng or np.random.default_rng(0)
         self.d_model = d_model
         self.config = config
+        self.random_seed = random_seed
         self.linear = Linear(d_model + config.width, d_model, rng)
         self.bn = BatchNorm(d_model)
         self.sn = SpikingLayer(lif)
         self._table: np.ndarray | None = None
 
-    def _tick_codes(self, horizon: int) -> np.ndarray:
-        """Per-tick codes as float64, rebuilt only when a window needs more
-        ticks than the table holds."""
-        if self._table is None or len(self._table) < horizon:
-            self._table = cached_tick_codes(horizon, self.config).astype(
-                np.float64)
+    def _tick_codes(self, n_ticks: int) -> np.ndarray:
+        """The block's tick table, grown when a call needs more ticks."""
+        self._table = _grown_table(self._table, n_ticks, self.config,
+                                   self.random_seed)
         return self._table
 
     def __call__(self, x: SpikeTensor,
@@ -115,7 +132,7 @@ class CPGPEBlock(Module):
                 f"block configured for D={self.d_model}, input has D={d}"
             )
         if offsets is None:
-            codes = cached_pe(t, l, self.config).bits
+            codes = _step_codes(self._tick_codes(t * l), t, l)
         else:
             table = self._tick_codes(int(np.max(offsets)) + l)
             codes = _window_codes(table, offsets, l)
@@ -142,70 +159,18 @@ class CPGLinearLayer(Module):
         self.linear2 = Linear(config.width, d_out, rng, bias=False)
         self.bn = BatchNorm(d_out)
         self.sn = SpikingLayer(lif)
+        self._table: np.ndarray | None = None
 
     def __call__(self, x: SpikeTensor) -> SpikeTensor:
         t, b, l, d = x.shape
         if d != self.d_in:
             raise ShapeError(f"expected D_in={self.d_in}, input has D={d}")
-        pe = cached_pe(t, l, self.config)
+        self._table = _grown_table(self._table, t * l, self.config)
+        pe = Tensor(_step_codes(self._table, t, l))
         x1 = self.linear1(x.to_tensor())
-        x2 = pe.to_tensor() @ self.linear2.weight  # (T,1,L,D_out), broadcast over B
+        x2 = pe @ self.linear2.weight  # (T,1,L,D_out), broadcast over B
         x3 = x1 + x2
         return self.sn(self.bn(x3))
-
-
-class RandomPEBlock(Module):
-    """Ablation baseline: same plumbing as CPGPEBlock, random fixed codes."""
-
-    def __init__(
-        self,
-        d_model: int,
-        width: int,
-        spike_prob: float = 0.5,
-        seed: int = 0,
-        lif: LIFParams | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        rng = rng or np.random.default_rng(0)
-        self.d_model = d_model
-        self.width = width
-        self.spike_prob = spike_prob
-        self.seed = seed
-        self.linear = Linear(d_model + width, d_model, rng)
-        self.bn = BatchNorm(d_model)
-        self.sn = SpikingLayer(lif)
-        self._codes: np.ndarray | None = None
-        self._table: np.ndarray | None = None
-
-    def _pe_bits(self, t_steps: int, seq_len: int) -> np.ndarray:
-        n = t_steps * seq_len
-        if self._codes is None or self._codes.shape[0] != n:
-            self._codes = random_pe(n, self.width, self.spike_prob, self.seed)
-        return self._codes.reshape(t_steps, 1, seq_len, self.width)
-
-    def _tick_codes(self, horizon: int) -> np.ndarray:
-        # Bernoulli rows are drawn tick-major, so a longer table agrees
-        # with a shorter one on their shared prefix.
-        if self._table is None or len(self._table) < horizon:
-            self._table = random_pe(
-                horizon, self.width, self.spike_prob, self.seed
-            ).astype(np.float64)
-        return self._table
-
-    def __call__(self, x: SpikeTensor,
-                 offsets: np.ndarray | None = None) -> SpikeTensor:
-        t, _, l, d = x.shape
-        if d != self.d_model:
-            raise ShapeError(
-                f"block configured for D={self.d_model}, input has D={d}"
-            )
-        if offsets is None:
-            codes = self._pe_bits(t, l)
-        else:
-            table = self._tick_codes(int(np.max(offsets)) + l)
-            codes = _window_codes(table, offsets, l)
-        y = self.linear(_concat_codes(x.to_tensor(), codes))
-        return self.sn(self.bn(y))
 
 
 class FloatPEBlock(Module):

@@ -2,8 +2,9 @@
 
 Channel pair i (of N) thresholds cos and sin of eta * t / tau^(i/N) at
 v_thres, emitting 1 when the potential is at or above threshold.  The step
-axis T and position axis L are flattened into a single index so every
-(step, position) combination receives a unique code.
+axis T and position axis L are flattened step-major into a single index,
+t = s*L + p, so every (step, position) combination receives a unique code:
+the paper's T x L code is the first T*L per-tick codes.
 
 Baselines: the real-valued sinusoidal encoding of Transformers and a fixed
 Bernoulli random spike matrix.
@@ -26,7 +27,6 @@ class CPGPEConfig:
     tau: float = 10000.0
     eta: float = 1.0
     v_thres: float = 0.8
-    flatten_order: str = "step-major"  # or "position-major"
 
     def __post_init__(self):
         if self.n_pairs < 1:
@@ -40,8 +40,6 @@ class CPGPEConfig:
                 f"v_thres must be in [-1, 1) or every channel is silent, "
                 f"got {self.v_thres}"
             )
-        if self.flatten_order not in ("step-major", "position-major"):
-            raise ValueError(f"unknown flatten_order {self.flatten_order!r}")
 
     @property
     def width(self) -> int:
@@ -79,19 +77,12 @@ def cpg_pe_at(t: int | np.ndarray, config: CPGPEConfig) -> np.ndarray:
 def generate_pe(t_steps: int, seq_len: int, config: CPGPEConfig) -> SpikeTensor:
     """Spike positional tensor of shape (T, 1, L, 2N), broadcastable over batch.
 
-    With step-major flattening, entry (step s, position p) uses t = s*L + p;
-    position-major uses t = p*T + s.
+    Step-major: entry (step s, position p) is the code of t = s*L + p.
     """
     if t_steps < 1 or seq_len < 1:
         raise ValueError(f"T and L must be >= 1, got T={t_steps}, L={seq_len}")
-    s, p = np.meshgrid(np.arange(t_steps), np.arange(seq_len), indexing="ij")
-    if config.flatten_order == "step-major":
-        flat = s * seq_len + p
-    else:
-        flat = p * t_steps + s
-    codes = cpg_pe_at(flat.reshape(-1), config)
-    bits = codes.reshape(t_steps, 1, seq_len, config.width)
-    return SpikeTensor(bits)
+    codes = cpg_pe_at(np.arange(t_steps * seq_len), config)
+    return SpikeTensor(codes.reshape(t_steps, 1, seq_len, config.width))
 
 
 def repetition_rate(codes) -> float:

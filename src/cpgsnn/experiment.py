@@ -10,6 +10,8 @@ A config is a single JSON document with nested sections:
       "pe_modes": ["none", "cpg"]
     }
 
+Every section is optional; an unknown one (a typo) raises ValueError.
+
 Results are deterministic for a fixed config: wall-clock data stays in the
 training logs, never in the result records.
 """
@@ -30,7 +32,14 @@ from .neuron import LIFParams
 from .training import TrainConfig, predict, train
 
 
+SECTIONS = ("dataset", "model", "train", "seeds", "pe_modes")
+
+
 def parse_config(doc: dict) -> dict:
+    unknown = sorted(set(doc) - set(SECTIONS))
+    if unknown:
+        raise ValueError(f"unknown config sections {unknown}; "
+                         f"expected some of {list(SECTIONS)}")
     dataset = DatasetSpec(**doc.get("dataset", {}))
     model_doc = dict(doc.get("model", {}))
     lif = LIFParams(**model_doc.pop("lif", {}))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import CPGPEBlock, FloatPEBlock, RandomPEBlock
+from .blocks import CPGPEBlock, FloatPEBlock
 from .encoder import CPGPEConfig
 from .neuron import LIFParams, SpikingLayer, _fire_and_reset
 from .nn import BatchNorm, Linear, Module
@@ -31,13 +31,10 @@ class ModelConfig:
     n_layers: int = 1
     t_steps: int = 4
     pe_mode: str = "none"
-    recurrence: str = "step"  # step | position (rnn backbone only)
-    readout_pool: str = "mean"  # mean | last (pooling over positions)
     head_hidden: int = 0  # 0 = linear head, > 0 = two-layer tanh head
     kernel_size: int = 3
     lif: LIFParams = field(default_factory=LIFParams)
-    cpg: CPGPEConfig | None = None
-    random_pe_prob: float = 0.5
+    cpg: CPGPEConfig | None = None  # random codes take its width too
     seed: int = 0
 
     def __post_init__(self):
@@ -45,10 +42,6 @@ class ModelConfig:
             raise ValueError(f"unknown backbone {self.backbone!r}")
         if self.pe_mode not in PE_MODES:
             raise ValueError(f"unknown pe_mode {self.pe_mode!r}")
-        if self.recurrence not in ("step", "position"):
-            raise ValueError(f"unknown recurrence {self.recurrence!r}")
-        if self.readout_pool not in ("mean", "last"):
-            raise ValueError(f"unknown readout_pool {self.readout_pool!r}")
         if self.head_hidden < 0:
             raise ValueError(f"head_hidden must be >= 0, got {self.head_hidden}")
         if self.pe_mode == "cpg" and self.cpg is None:
@@ -102,44 +95,38 @@ class InputEncoder(Module):
 
 
 class SpikeRNNLayer(Module):
-    """Recurrent spiking cell, unrolled over the step or the position axis.
+    """Recurrent spiking cell, unrolled over the step axis.
 
     I(t) = x_t @ W_in + s_(t-1) @ W_rec + b, with LIF membrane dynamics.
-    W_rec = 0 reduces to a feedforward spiking layer.  With step recurrence
-    the cell is shared across positions; with position recurrence it scans
-    the sequence left to right, carrying state between positions.
+    W_rec = 0 reduces to a feedforward spiking layer.  The cell is shared
+    across positions, so it carries no state between them.
 
     Input currents pass through a shared batch normalization before the
     membrane update (norm=True); sparse binary inputs otherwise produce
     sub-threshold currents at initialization and the layer never spikes.
-    The normalization runs once per unrolled slot, so in train mode its
-    running statistics take one update per slot, T (or L) per forward.
+    The normalization runs once per step, so in train mode its running
+    statistics take T updates per forward.
 
-    The layer is one graph node.  Its forward runs the slots in order (W_in,
+    The layer is one graph node.  Its forward runs the steps in order (W_in,
     the recurrent term, the normalization and the LIF update, in place) and
-    keeps, per slot, the spikes, the surrogate slopes and the normalization's
+    keeps, per step, the spikes, the surrogate slopes and the normalization's
     x_hat and std.  Its backward runs the BPTT of `neuron` through them in
-    reverse slot order, where the gradient of a slot's spikes also takes the
+    reverse step order, where the gradient of a step's spikes also takes the
     recurrent term's share, g_rec = gC_(t+1) @ W_rec^T, and then the W_in
     gradients over the whole sequence.  The recurrent term is skipped at the
-    first slot, where s_(t-1) = 0 contributes exactly nothing.  Without a
+    first step, where s_(t-1) = 0 contributes exactly nothing.  Without a
     live input or parameter the layer keeps nothing and returns a leaf.
     """
 
     def __init__(self, d_in: int, d_out: int, lif: LIFParams,
-                 rng: np.random.Generator, recur_axis: str = "step",
-                 norm: bool = True):
-        if recur_axis not in ("step", "position"):
-            raise ValueError(f"unknown recur_axis {recur_axis!r}")
+                 rng: np.random.Generator, norm: bool = True):
         self.w_in = Linear(d_in, d_out, rng)
         self.w_rec = Linear(d_out, d_out, rng, bias=False)
         self.bn = BatchNorm(d_out) if norm else None
         self.lif = lif
-        self.recur_axis = recur_axis
 
     def __call__(self, x: SpikeTensor) -> SpikeTensor:
         xt = x.to_tensor()
-        axis = 0 if self.recur_axis == "step" else 2
         w_in, w, bn, p = self.w_in, self.w_rec.weight, self.bn, self.lif
         parents = (xt, w_in.weight, w)
         if w_in.bias is not None:
@@ -147,15 +134,14 @@ class SpikeRNNLayer(Module):
         if bn is not None:
             parents += (bn.scale, bn.shift)
         live = any(t.requires_grad for t in parents)
-        x_slots = np.moveaxis(xt.data, axis, 0)
-        spikes = np.empty(x_slots.shape[:-1] + w.shape[1:])
+        spikes = np.empty(xt.shape[:-1] + w.shape[1:])
         slopes = np.empty(spikes.shape) if live else None
-        norm_saved = []  # (x_hat, std) per slot
+        norm_saved = []  # (x_hat, std) per step
         training = bn is not None and bn.training
         h = np.zeros(spikes.shape[1:])
         fired = np.empty(h.shape, dtype=bool)
         for t in range(len(spikes)):
-            current = w_in.forward_array(x_slots[t])
+            current = w_in.forward_array(xt.data[t])
             if t > 0:
                 current += spikes[t - 1] @ w.data
             if bn is not None:
@@ -166,13 +152,11 @@ class SpikeRNNLayer(Module):
             h += current
             _fire_and_reset(h, fired, p, None if slopes is None else slopes[t])
             spikes[t] = fired
-        data = np.moveaxis(spikes, 0, axis)
         if not live:
-            return SpikeTensor(Tensor(data))
+            return SpikeTensor(Tensor(spikes))
 
         def backward(g):
-            g = np.moveaxis(g, axis, 0)
-            g_slots = np.empty(g.shape)
+            g_steps = np.empty(g.shape)
             gu = g_rec = None
             for t in range(len(g) - 1, -1, -1):
                 gu_t = (g[t] if g_rec is None else g[t] + g_rec) * slopes[t]
@@ -182,19 +166,18 @@ class SpikeRNNLayer(Module):
                 if bn is not None:
                     gu_t = bn.backward_arrays(gu_t, *norm_saved[t], training,
                                               True)
-                g_slots[t] = gu_t
+                g_steps[t] = gu_t
                 if t > 0:
                     g_rec = gu_t @ w.data.T
                     if w.requires_grad:
                         w._accumulate(spikes[t - 1].reshape(-1, w.shape[0]).T
                                       @ gu_t.reshape(-1, w.shape[1]))
-            # W_in over the whole sequence, in the layout of its input
-            g_drive = np.ascontiguousarray(np.moveaxis(g_slots, 0, axis))
-            gx = w_in.backward_arrays(xt.data, g_drive, xt.requires_grad)
+            # W_in over the whole sequence
+            gx = w_in.backward_arrays(xt.data, g_steps, xt.requires_grad)
             if gx is not None:
                 xt._accumulate(gx)
 
-        return SpikeTensor(Tensor._make(data, parents, backward))
+        return SpikeTensor(Tensor._make(spikes, parents, backward))
 
 
 class SpikeTCNLayer(Module):
@@ -261,20 +244,17 @@ class ForecastModel(Module):
         self.encoder = InputEncoder(
             in_channels, d, config.t_steps, config.lif, rng, float_block
         )
-        if config.pe_mode == "cpg":
-            self.pe_block = CPGPEBlock(d, config.cpg, config.lif, rng)
-        elif config.pe_mode == "random":
-            width = config.cpg.width if config.cpg else 2 * 20
-            self.pe_block = RandomPEBlock(
-                d, width, config.random_pe_prob, config.seed, config.lif, rng
-            )
+        if config.pe_mode in ("cpg", "random"):
+            random_seed = config.seed if config.pe_mode == "random" else None
+            self.pe_block = CPGPEBlock(d, config.cpg or CPGPEConfig(),
+                                       config.lif, rng, random_seed)
         else:
             self.pe_block = None
         self.layers = []
         for i in range(config.n_layers):
             if config.backbone == "rnn":
                 self.layers.append(
-                    SpikeRNNLayer(d, d, config.lif, rng, config.recurrence)
+                    SpikeRNNLayer(d, d, config.lif, rng)
                 )
             else:
                 self.layers.append(
@@ -312,10 +292,7 @@ class ForecastModel(Module):
     def readout(self, x: SpikeTensor) -> Tensor:
         """Reduce spikes over steps and positions, project to the horizon."""
         rate = x.to_tensor().mean(axis=0)  # (B, L, D) over steps
-        if self.config.readout_pool == "last":
-            pooled = rate.select(rate.shape[1] - 1, axis=1)
-        else:
-            pooled = rate.mean(axis=1)  # (B, D) over positions
+        pooled = rate.mean(axis=1)  # (B, D) over positions
         b = pooled.shape[0]
         y = self.head(pooled)
         return y.reshape(b, self.l_pred, self.in_channels)

@@ -111,8 +111,9 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # a copy, since g may be another node's gradient or a view of it
-            grad = np.array(g, dtype=np.float64)
+            # a C-ordered copy, since g may be another node's gradient or a
+            # permuted or broadcast view of it
+            grad = np.array(g, dtype=np.float64, order="C")
             if grad.shape != self.data.shape:
                 grad = np.broadcast_to(grad, self.data.shape).copy()
             self.grad = grad
@@ -237,7 +238,7 @@ class Tensor:
                 g = g * scale
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._make(data, (self,), backward)
 

@@ -1,5 +1,5 @@
-"""Surrogate-gradient trainer: MSE on standardized targets, Adam or
-momentum SGD, early stopping on validation R^2, JSON-lines logging.
+"""Surrogate-gradient trainer: MSE on standardized targets, Adam, early
+stopping on validation R^2, JSON-lines logging.
 
 `predict` runs without a graph: for the length of the call it turns
 `requires_grad` off on every parameter the model lists (and BatchNorm to
@@ -30,10 +30,7 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    optimizer: str = "adam"  # adam | sgd
-    momentum: float = 0.9
     patience: int = 30  # early-stopping tolerance, in epochs
-    min_epochs: int = 1
 
 
 class DivergenceError(RuntimeError):
@@ -58,20 +55,6 @@ class Adam:
             mhat = self.m[i] / (1 - self.beta1**self.t)
             vhat = self.v[i] / (1 - self.beta2**self.t)
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-class MomentumSGD:
-    def __init__(self, params, lr, momentum=0.9):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self.buf = [np.zeros_like(p.data) for _, p in params]
-
-    def step(self):
-        for i, (_, p) in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.buf[i] = self.momentum * self.buf[i] + g
-            p.data = p.data - self.lr * self.buf[i]
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -121,12 +104,7 @@ def train(model: ForecastModel, dataset: Dataset,
     """Fit the model; returns the training log (also written as JSONL)."""
     model.encoder.fit_normalization(dataset.train.history)
     params = model.parameters()
-    if config.optimizer == "adam":
-        opt = Adam(params, config.lr)
-    elif config.optimizer == "sgd":
-        opt = MomentumSGD(params, config.lr, config.momentum)
-    else:
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    opt = Adam(params, config.lr)
     rng = np.random.default_rng(config.seed)
     log: list[dict] = []
     best_r2 = -np.inf
@@ -172,7 +150,7 @@ def train(model: ForecastModel, dataset: Dataset,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= config.patience and epoch + 1 >= config.min_epochs:
+            if since_best >= config.patience:
                 break
     if best_state is not None:
         lookup = dict(params)

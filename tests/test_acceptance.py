@@ -23,10 +23,10 @@ import time
 import numpy as np
 import pytest
 
-from cpgsnn.blocks import CPGLinearLayer, CPGPEBlock, cached_pe, _broadcast_pe
+from cpgsnn.blocks import CPGLinearLayer, CPGPEBlock, _broadcast_pe
 from cpgsnn.circuit import verify_grid
 from cpgsnn.cli import main as cli_main
-from cpgsnn.encoder import CPGPEConfig
+from cpgsnn.encoder import CPGPEConfig, generate_pe
 from cpgsnn.experiment import load_config, run_single
 from cpgsnn.data import build_dataset
 from cpgsnn.metrics import compute_r2, compute_rse
@@ -271,7 +271,7 @@ class TestBinarity:
         lin.linear2.weight.data = w[d:].copy()
 
         x = random_spikes(rng, (2, 3, 4, d))
-        pe = cached_pe(2, 4, cfg)
+        pe = generate_pe(2, 4, cfg)
         x1 = concat_features(x, _broadcast_pe(pe, 3))
         pre_concat = concat_block.linear(x1.to_tensor()).data
         pre_linear = (

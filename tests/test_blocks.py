@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from cpgsnn.blocks import (
-    CPGLinearLayer,
-    CPGPEBlock,
-    FloatPEBlock,
-    RandomPEBlock,
-    cached_pe,
-)
-from cpgsnn.encoder import CPGPEConfig, float_pe, generate_pe
+from cpgsnn import blocks
+from cpgsnn.blocks import (CPGLinearLayer, CPGPEBlock, FloatPEBlock,
+                           _concat_codes)
+from cpgsnn.encoder import CPGPEConfig, float_pe, generate_pe, random_pe
 from cpgsnn.tensor import ShapeError, SpikeTensor, Tensor
 
 
@@ -56,7 +52,7 @@ class TestCPGPEBlock:
         block = CPGPEBlock(4, cfg, rng=rng)
         block.bn.training = False
         x = SpikeTensor(np.zeros((1, 2, 6, 4), dtype=np.uint8))
-        pe = cached_pe(1, 6, cfg)
+        pe = generate_pe(1, 6, cfg)
         y = block.linear(
             Tensor(
                 np.concatenate(
@@ -96,7 +92,7 @@ class TestCPGLinearEquivalence:
         lin.linear2.weight.data = w[d_in:].copy()
 
         x = random_spikes(rng, (2, 3, 4, d_in))
-        pe = cached_pe(2, 4, cfg)
+        pe = generate_pe(2, 4, cfg)
 
         from cpgsnn.tensor import concat_features
         from cpgsnn.blocks import _broadcast_pe
@@ -122,17 +118,55 @@ class TestCPGLinearEquivalence:
 
 
 class TestRandomPEBlock:
-    def test_codes_fixed_across_calls(self, rng):
-        block = RandomPEBlock(4, width=6, spike_prob=0.5, seed=3, rng=rng)
-        a = block._pe_bits(2, 5).copy()
-        b = block._pe_bits(2, 5)
+    """The random-code baseline: CPGPEBlock with a `random_seed`."""
+
+    def test_codes_fixed_across_calls(self, rng, monkeypatch):
+        block = CPGPEBlock(4, small_config(), rng=rng, random_seed=3)
+        a = block_codes(block, 2, 5, monkeypatch).copy()
+        b = block_codes(block, 2, 5, monkeypatch)
         assert np.array_equal(a, b)
 
     def test_forward_binary(self, rng):
-        block = RandomPEBlock(4, width=6, rng=rng)
+        block = CPGPEBlock(4, small_config(), rng=rng, random_seed=0)
         y = block(random_spikes(rng, (2, 3, 5, 4)))
         assert y.shape == (2, 3, 5, 4)
         assert set(np.unique(y.bits)) <= {0, 1}
+
+
+def block_codes(block, t_steps, seq_len, monkeypatch):
+    """The codes a block without offsets concatenates after its input."""
+    seen = []
+
+    def spy(x, codes):
+        seen.append(codes)
+        return _concat_codes(x, codes)
+
+    monkeypatch.setattr(blocks, "_concat_codes", spy)
+    block(random_spikes(np.random.default_rng(0),
+                        (t_steps, 2, seq_len, block.d_model)))
+    return seen[0]
+
+
+@pytest.mark.parametrize("t_steps,seq_len", [(1, 6), (2, 4), (3, 7)])
+def test_no_offset_codes_equal_generate_pe(t_steps, seq_len, rng,
+                                           monkeypatch):
+    cfg = small_config()
+    block = CPGPEBlock(4, cfg, rng=rng)
+    expected = generate_pe(t_steps, seq_len, cfg).bits
+    assert np.array_equal(block_codes(block, t_steps, seq_len, monkeypatch),
+                          expected)
+
+
+@pytest.mark.parametrize("t_steps,seq_len", [(1, 6), (2, 4), (3, 7)])
+def test_no_offset_random_codes_equal_random_pe(t_steps, seq_len, rng,
+                                                monkeypatch):
+    cfg = small_config()
+    block = CPGPEBlock(4, cfg, rng=rng, random_seed=3)
+    block._tick_codes(50)  # a longer table first: its prefix is read
+    expected = random_pe(t_steps * seq_len, cfg.width, 0.5, 3).reshape(
+        t_steps, 1, seq_len, cfg.width)
+    assert np.array_equal(block_codes(block, t_steps, seq_len, monkeypatch),
+                          expected)
 
 
 class TestFloatPEBlock:
@@ -153,22 +187,14 @@ class TestFloatPEBlock:
             FloatPEBlock(5)
 
 
-def test_cached_pe_returns_same_object():
-    cfg = small_config()
-    a = cached_pe(2, 7, cfg)
-    b = cached_pe(2, 7, cfg)
-    assert a is b
-    assert np.array_equal(a.bits, generate_pe(2, 7, cfg).bits)
-
-
 class TestAbsoluteTimeOffsets:
     """Offset mode: codes indexed by absolute series tick, not window slot."""
 
     def test_cpg_slices_match_tick_code_table(self, rng):
-        from cpgsnn.blocks import cached_tick_codes, _window_codes
+        from cpgsnn.blocks import _window_codes
 
         config = small_config()
-        codes = cached_tick_codes(30, config)
+        codes = CPGPEBlock(4, config, rng=rng)._tick_codes(30)
         offsets = np.array([0, 7, 18])
         pe = _window_codes(codes, offsets, seq_len=12)
         assert pe.shape == (3, 12, config.width)
@@ -180,16 +206,14 @@ class TestAbsoluteTimeOffsets:
         with pytest.raises(ValueError):
             block(random_spikes(rng, (2, 2, 8, 6)), offsets=np.array([3, -1]))
 
-    def test_cpg_tick_codes_prefix_consistent(self):
-        from cpgsnn.blocks import cached_tick_codes
-
-        config = small_config()
-        short = cached_tick_codes(20, config)
-        long = cached_tick_codes(50, config)
+    def test_cpg_tick_codes_prefix_consistent(self, rng):
+        block = CPGPEBlock(4, small_config(), rng=rng)
+        short = block._tick_codes(20).copy()
+        long = block._tick_codes(50)
         assert np.array_equal(long[:20], short)
 
     def test_random_tick_codes_prefix_consistent(self, rng):
-        block = RandomPEBlock(4, width=6, seed=3, rng=rng)
+        block = CPGPEBlock(4, small_config(), rng=rng, random_seed=3)
         short = block._tick_codes(15).copy()
         long = block._tick_codes(40)
         assert np.array_equal(long[:15], short)
@@ -215,7 +239,7 @@ class TestAbsoluteTimeOffsets:
         assert np.array_equal(a.bits, b.bits)
 
     def test_random_offsets_binary_output(self, rng):
-        block = RandomPEBlock(5, width=8, seed=1, rng=rng)
+        block = CPGPEBlock(5, small_config(n_pairs=4), rng=rng, random_seed=1)
         x = random_spikes(rng, (2, 4, 6, 5))
         y = block(x, offsets=np.array([3, 0, 11, 2]))
         assert set(np.unique(y.bits)) <= {0.0, 1.0}

@@ -33,7 +33,6 @@ class TestConfig:
             {"eta": 0.0},
             {"v_thres": 1.0},
             {"v_thres": -1.5},
-            {"flatten_order": "row-major"},
         ],
     )
     def test_validation(self, kwargs):
@@ -91,15 +90,6 @@ class TestGeneratePE:
             for p in range(5):
                 assert np.array_equal(
                     pe.bits[s, 0, p], cpg_pe_at(s * 5 + p, cfg)
-                )
-
-    def test_position_major_flattening(self):
-        cfg = CPGPEConfig(n_pairs=3, flatten_order="position-major")
-        pe = generate_pe(3, 5, cfg)
-        for s in range(3):
-            for p in range(5):
-                assert np.array_equal(
-                    pe.bits[s, 0, p], cpg_pe_at(p * 3 + s, cfg)
                 )
 
     def test_bad_extent_rejected(self):

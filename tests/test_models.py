@@ -109,37 +109,34 @@ class TestSpikeRNNLayer:
 
 
 def rnn_reference(layer, x):
-    """SpikeRNNLayer composed from per-slot nodes: select, the recurrent
+    """SpikeRNNLayer composed from per-step nodes: select, the recurrent
     matmul and add, BatchNorm, lif_step, then stack."""
     t_steps, b, l, _ = x.shape
     d_out = layer.w_in.weight.shape[1]
-    if layer.recur_axis == "step":
-        axis, extent, state_shape = 0, t_steps, (b, l, d_out)
-    else:
-        axis, extent, state_shape = 2, l, (t_steps, b, d_out)
     drive = layer.w_in(x.to_tensor())
-    state = MembraneState(h=Tensor(np.zeros(state_shape)))
+    state = MembraneState(h=Tensor(np.zeros((b, l, d_out))))
     outs = []
-    for t in range(extent):
-        current = drive.select(t, axis)
+    for t in range(t_steps):
+        current = drive.select(t, 0)
         if outs:
             current = current + outs[-1] @ layer.w_rec.weight
         if layer.bn is not None:
             current = layer.bn(current)
         s, state = lif_step(state, current, layer.lif)
         outs.append(s)
-    return stack(outs, axis=axis)
+    return stack(outs, axis=0)
 
 
-@pytest.mark.parametrize("recur_axis", ["step", "position"])
+# the recurrence axis, named in each case id
+@pytest.mark.parametrize("axis", ["step"])
 @pytest.mark.parametrize("norm,training", [(True, True), (True, False),
                                            (False, True)])
 @pytest.mark.parametrize("t_steps", [1, 2, 3])
-def test_rnn_scan_matches_per_slot_graph(recur_axis, norm, training, t_steps):
-    """The one-node scan equals the per-slot composition it replaces."""
+def test_rnn_scan_matches_per_slot_graph(axis, norm, training, t_steps):
+    """The one-node scan equals the per-step composition it replaces."""
     rng = np.random.default_rng(t_steps)
     layer = SpikeRNNLayer(3, 4, LIFParams(beta=0.8, u_thr=0.7, v_reset=-0.1),
-                          rng, recur_axis, norm)
+                          rng, norm)
     layer.w_in.weight.data *= 3.0
     layer.w_in.bias.data[:] = rng.normal(size=4)
     if norm:
@@ -284,6 +281,24 @@ class TestForecastModel:
         delta = with_pe.n_parameters() - base.n_parameters()
         assert delta == (d + 2 * n) * d + d + 2 * d
 
+    @pytest.mark.parametrize("pe_mode", ["cpg", "random"])
+    def test_checkpoint_names(self, pe_mode):
+        # the names checkpoints record; a rename stops old ones loading
+        model = ForecastModel(make_config(pe_mode=pe_mode), 2, 3)
+        assert [name for name, _ in model.parameters()] == [
+            "encoder.proj.weight", "encoder.proj.bias",
+            "pe_block.linear.weight", "pe_block.linear.bias",
+            "pe_block.bn.scale", "pe_block.bn.shift",
+            "layers.0.w_in.weight", "layers.0.w_in.bias",
+            "layers.0.w_rec.weight", "layers.0.bn.scale",
+            "layers.0.bn.shift", "head.weight", "head.bias",
+        ]
+        assert [name for name, _ in model.buffers()] == [
+            "encoder.channel_mean", "encoder.channel_std",
+            "pe_block.bn.running_mean", "pe_block.bn.running_var",
+            "layers.0.bn.running_mean", "layers.0.bn.running_var",
+        ]
+
     @pytest.mark.parametrize("pe_mode", ["none", "cpg"])
     def test_train_forward_graph_freed_with_its_outputs(self, rng, pe_mode):
         # no layer keeps its last forward graph once the caller drops it
@@ -380,10 +395,10 @@ class TestAbsoluteTimeModel:
             assert np.allclose(ya, yb) != expect_change
 
     def test_offset_zero_sample_sees_tick_zero_codes(self, rng):
-        from cpgsnn.blocks import _concat_codes, _window_codes, cached_tick_codes
+        from cpgsnn.blocks import CPGPEBlock, _concat_codes, _window_codes
 
         cfg = small_cpg()
-        codes = cached_tick_codes(20, cfg)
+        codes = CPGPEBlock(3, cfg, rng=rng)._tick_codes(20)
         rows = _window_codes(codes, np.array([0]), seq_len=10)
         x = Tensor(np.zeros((2, 1, 10, 3)))
         pe = _concat_codes(x, rows).data[..., 3:]  # what the block sees

@@ -79,6 +79,19 @@ class TestBackward:
         (y + y).sum().backward()
         assert np.array_equal(x.grad, [4.0])
 
+    @pytest.mark.parametrize("op", [
+        lambda x: x.transpose(),
+        lambda x: x.transpose(1, 2, 0),
+        lambda x: x.sum(axis=1),
+        lambda x: x.sum(axis=(0, 2), keepdims=True),
+    ], ids=["transpose", "permute", "sum", "sum_keepdims"])
+    def test_gradient_is_c_contiguous(self, op, rng):
+        # a permuted or broadcast view of the gradient is stored C-ordered
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        y = op(x)
+        (y * Tensor(rng.normal(size=y.shape))).sum().backward()
+        assert x.grad.flags.c_contiguous
+
     def test_two_layer_net_matches_finite_differences(self, rng):
         w1_0 = rng.normal(size=(3, 5))
         w2_0 = rng.normal(size=(5, 2))
