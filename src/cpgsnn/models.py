@@ -153,7 +153,7 @@ class SpikeRNNLayer(Module):
             _fire_and_reset(h, fired, p, None if slopes is None else slopes[t])
             spikes[t] = fired
         if not live:
-            return SpikeTensor(Tensor(spikes))
+            return SpikeTensor(Tensor(spikes), binary=True)
 
         def backward(g):
             g_steps = np.empty(g.shape)
@@ -177,7 +177,8 @@ class SpikeRNNLayer(Module):
             if gx is not None:
                 xt._accumulate(gx)
 
-        return SpikeTensor(Tensor._make(spikes, parents, backward))
+        return SpikeTensor(Tensor._make(spikes, parents, backward),
+                           binary=True)
 
 
 class SpikeTCNLayer(Module):

@@ -185,7 +185,7 @@ class SpikingLayer:
                             None if slopes is None else slopes[t])
             spikes[t] = fired
         if slopes is None:
-            return SpikeTensor(Tensor(spikes))
+            return SpikeTensor(Tensor(spikes), binary=True)
 
         def backward(g):
             gx = np.empty_like(g)
@@ -197,4 +197,5 @@ class SpikingLayer:
                 gx[t] = gu = gu_t
             x_seq._accumulate(gx)
 
-        return SpikeTensor(Tensor._make(spikes, (x_seq,), backward))
+        return SpikeTensor(Tensor._make(spikes, (x_seq,), backward),
+                           binary=True)

@@ -13,7 +13,9 @@ backward reads and skips parents that need no gradient:
 
 - ``nn.Linear``: ``x @ W + b``;
 - ``nn.BatchNorm``: normalisation with the closed-form backward through the
-  batch statistics (train mode), or one affine map (eval mode);
+  batch statistics (train mode), or one affine map (eval mode); both layers
+  take their sums over the leading axes as one BLAS product
+  (``nn.leading_sum``);
 - ``neuron.SpikingLayer``: a whole LIF sequence with a BPTT backward, and
   ``neuron.lif_step``: one spike node and one membrane node per step;
 - ``models.SpikeRNNLayer``: the whole layer, a scan over its slots (input
@@ -31,8 +33,7 @@ output, so a graph lives exactly as long as the caller holds its outputs.
 
 ``Tensor.mean`` is one node (the sum and the scaling together).
 ``repeat_leading`` repeats a tensor along a new leading axis as a read-only
-view.  ``Tensor.select`` takes one slice along an axis; its backward adds
-into that slice of the parent's gradient.
+view.
 
 Spiking activations travel between layers as ``SpikeTensor``: a strictly
 binary (T, B, L, D) array, optionally carrying a reference to the graph node
@@ -262,17 +263,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward)
 
-    def select(self, i: int, axis: int = 0) -> "Tensor":
-        """The slice of index i along `axis`, with that axis dropped."""
-        index = (slice(None),) * axis + (i,)
-
-        def backward(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[index] += g
-
-        return Tensor._make(self.data[index], (self,), backward)
-
     # -- linear algebra -------------------------------------------------------
 
     def matmul(self, other: "Tensor") -> "Tensor":
@@ -397,19 +387,23 @@ class SpikeTensor:
 
     The only legal inter-layer payload on spiking paths.  `node` optionally
     references the producing graph Tensor so surrogate gradients can flow.
+    A payload is checked for 0/1 values unless the caller passes
+    `binary=True`, as the spiking layers do for the spikes they build from
+    a threshold comparison.  `bits` is a C-ordered uint8 copy.
     """
 
     __slots__ = ("bits", "node")
 
-    def __init__(self, values, node: Tensor | None = None):
+    def __init__(self, values, node: Tensor | None = None, *,
+                 binary: bool = False):
         arr = values.data if isinstance(values, Tensor) else np.asarray(values)
         if arr.ndim != 4:
             raise ShapeError(f"SpikeTensor must be 4-D (T,B,L,D), got {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"SpikeTensor dims must be >= 1, got {arr.shape}")
-        if not np.all((arr == 0) | (arr == 1)):
+        if not binary and not np.all((arr == 0) | (arr == 1)):
             raise ValueError("SpikeTensor values must be exactly 0 or 1")
-        self.bits = arr.astype(np.uint8)
+        self.bits = np.array(arr, dtype=np.uint8, order="C")
         if node is None and isinstance(values, Tensor):
             node = values
         self.node = node

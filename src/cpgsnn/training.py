@@ -6,7 +6,8 @@ stopping on validation R^2, JSON-lines logging.
 eval mode), so every op returns a leaf and the LIF layers take their
 forward-only path; both are restored on return, also on error.  `train`
 builds the graph as usual, and each minibatch's graph is freed when its
-loss goes out of scope.
+loss goes out of scope.  Each epoch's log entry splits its `wall_ms` into
+the forward (with the loss), backward, optimizer and validation times.
 """
 
 from __future__ import annotations
@@ -38,23 +39,38 @@ class DivergenceError(RuntimeError):
 
 
 class Adam:
+    """Adam whose moments are two flat float64 buffers, m and v, holding
+    the parameters one after another.  A step gathers the gradients with
+    one concatenate (zeros for a parameter without one) and updates both
+    buffers in place; each parameter then gets its slice of the update.
+    The parameters stay separate arrays, rebound on every step."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for _, p in params]
-        self.v = [np.zeros_like(p.data) for _, p in params]
+        self._slices, n = [], 0
+        for _, p in params:
+            self._slices.append(slice(n, n + p.size))
+            n += p.size
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
         self.t = 0
 
     def step(self):
         self.t += 1
-        for i, (_, p) in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1**self.t)
-            vhat = self.v[i] / (1 - self.beta2**self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        g = np.concatenate([np.zeros(p.size) if p.grad is None
+                            else p.grad.reshape(-1) for _, p in self.params])
+        self.m *= b1
+        self.m += (1 - b1) * g
+        self.v *= b2
+        self.v += (1 - b2) * g * g
+        mhat = self.m / (1 - b1**self.t)
+        vhat = self.v / (1 - b2**self.t)
+        upd = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for (_, p), sl in zip(self.params, self._slices):
+            p.data = p.data - upd[sl].reshape(p.shape)
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -115,30 +131,42 @@ def train(model: ForecastModel, dataset: Dataset,
         model.set_training(True)
         losses = []
         skipped = 0
+        split = dict.fromkeys(("fwd", "bwd", "opt", "eval"), 0.0)
         for hist, targ, offs in iter_batches(dataset.train, config.batch_size,
                                              rng):
             if hist.shape[0] < 2:
                 skipped += 1  # batch-norm needs a real batch
                 continue
-            model.zero_grad()
+            for _, p in params:
+                p.zero_grad()
+            t1 = time.perf_counter()
             pred = model(hist, offs)
             loss = mse_loss(pred, standardize_target(model, targ))
             if not np.isfinite(loss.data):
                 raise DivergenceError(
                     f"loss became non-finite at epoch {epoch}"
                 )
+            t2 = time.perf_counter()
             loss.backward()
+            t3 = time.perf_counter()
             opt.step()
+            t4 = time.perf_counter()
+            split["fwd"] += t2 - t1
+            split["bwd"] += t3 - t2
+            split["opt"] += t4 - t3
             losses.append(float(loss.data))
+        t1 = time.perf_counter()
         valid_pred = predict(model, dataset.valid.history,
                              dataset.valid.offsets)
         valid_r2 = compute_r2(valid_pred, dataset.valid.target)
+        split["eval"] = time.perf_counter() - t1
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
             "valid_r2": float(valid_r2),
             "skipped_batches": skipped,
             "wall_ms": int(1000 * (time.perf_counter() - t0)),
+            **{f"{k}_ms": int(1000 * v) for k, v in split.items()},
         }
         log.append(entry)
         if valid_r2 > best_r2:

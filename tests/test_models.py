@@ -108,6 +108,19 @@ class TestSpikeRNNLayer:
         assert np.abs(layer.w_rec.weight.grad).sum() > 0
 
 
+def select(x, i, axis=0):
+    """The slice of index i along `axis`, with that axis dropped; its
+    backward adds into that slice of the parent's gradient."""
+    index = (slice(None),) * axis + (i,)
+
+    def backward(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[index] += g
+
+    return Tensor._make(x.data[index], (x,), backward)
+
+
 def rnn_reference(layer, x):
     """SpikeRNNLayer composed from per-step nodes: select, the recurrent
     matmul and add, BatchNorm, lif_step, then stack."""
@@ -117,7 +130,7 @@ def rnn_reference(layer, x):
     state = MembraneState(h=Tensor(np.zeros((b, l, d_out))))
     outs = []
     for t in range(t_steps):
-        current = drive.select(t, 0)
+        current = select(drive, t, 0)
         if outs:
             current = current + outs[-1] @ layer.w_rec.weight
         if layer.bn is not None:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cpgsnn.nn import BatchNorm, Linear
+from cpgsnn.nn import BatchNorm, Linear, leading_sum
 from cpgsnn.tensor import (
     GraphError,
     ShapeError,
@@ -15,6 +20,8 @@ from cpgsnn.tensor import (
 )
 
 from conftest import numeric_grad, rel_err
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestMatmul:
@@ -233,10 +240,59 @@ class TestBatchNorm:
         assert rel_err(x.grad, numeric_grad(loss, (x0,), 0)).max() < 1e-4
 
 
+class TestLeadingSum:
+    @pytest.mark.parametrize("shape", [(1, 8), (7, 3), (1, 1, 4), (4, 5, 6),
+                                       (1, 2, 3, 8), (2, 16, 48, 8)])
+    def test_matches_numpy_sum(self, shape, rng):
+        x = rng.normal(size=shape)
+        ref = x.sum(axis=tuple(range(x.ndim - 1)))
+        got = leading_sum(x)
+        assert got.shape == ref.shape
+        # relative to the sum of magnitudes, the scale of round-off
+        scale = np.abs(x).sum(axis=tuple(range(x.ndim - 1)))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        """The golden trajectory relies on leading sums that do not depend
+        on how many threads BLAS runs."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from cpgsnn.nn import leading_sum\n"
+            "rng = np.random.default_rng(0)\n"
+            "h = hashlib.sha256()\n"
+            "for shape in [(16, 36), (16, 128), (16, 48, 8), (2, 16, 48, 8),\n"
+            "              (768, 128), (2, 256, 48, 8)]:\n"
+            "    h.update(leading_sum(rng.normal(size=shape)).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
+
+
 class TestSpikeTensor:
     def test_binarity_enforced(self):
         with pytest.raises(ValueError, match="0 or 1"):
             SpikeTensor(np.full((1, 1, 2, 2), 0.5))
+
+    def test_binary_payload_skips_value_check_only(self):
+        x = SpikeTensor(np.ones((1, 1, 2, 2)), binary=True)
+        assert x.bits.dtype == np.uint8
+        with pytest.raises(ShapeError):
+            SpikeTensor(np.ones((2, 2)), binary=True)
+
+    def test_bits_c_ordered(self):
+        view = np.broadcast_to((np.arange(18) % 2).reshape(3, 1, 6)[:, :, ::2],
+                               (2, 3, 2, 3))
+        x = SpikeTensor(view)
+        assert x.bits.flags.c_contiguous
+        assert np.array_equal(x.bits, view)
+        assert x.to_tensor().data.flags.c_contiguous
 
     def test_requires_4d(self):
         with pytest.raises(ShapeError):

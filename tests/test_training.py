@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -54,7 +55,67 @@ def test_removed_knob_rejected(cls, knob):
         cls(**{knob: None})
 
 
+class ReferenceAdam:
+    """Adam with one pair of moment arrays per parameter, the form the flat
+    buffers must reproduce bit for bit."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for _, p in params]
+        self.v = [np.zeros_like(p.data) for _, p in params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        for i, (_, p) in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+            mhat = self.m[i] / (1 - self.beta1**self.t)
+            vhat = self.v[i] / (1 - self.beta2**self.t)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+class ThreeParams(nn.Module):
+    def __init__(self, rng):
+        self.a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        self.b = Tensor(rng.normal(size=5), requires_grad=True)
+        self.c = Tensor(rng.normal(size=(2, 1, 3)), requires_grad=True)
+
+
 class TestOptimizers:
+    def test_flat_adam_equals_per_parameter_adam(self, tmp_path):
+        """200 steps of random gradients, some None, with a checkpoint
+        loaded into both copies mid-run (it rebinds every p.data)."""
+        rng = np.random.default_rng(5)
+        flat = ThreeParams(rng)
+        ref = copy.deepcopy(flat)
+        opts = Adam(flat.parameters(), lr=1e-2), ReferenceAdam(
+            ref.parameters(), lr=1e-2)
+        n_none = 0
+        for step in range(200):
+            for (_, p), (_, q) in zip(flat.parameters(), ref.parameters()):
+                if rng.random() < 0.2:
+                    p.grad = q.grad = None
+                    n_none += 1
+                else:
+                    g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3)
+                    p.grad, q.grad = g.copy(), g.copy()
+            if step == 100:
+                save_checkpoint(flat, tmp_path / "ckpt.bin")
+            if step == 150:
+                load_checkpoint(flat, tmp_path / "ckpt.bin")
+                load_checkpoint(ref, tmp_path / "ckpt.bin")
+            for opt in opts:
+                opt.step()
+            for (_, p), (_, q) in zip(flat.parameters(), ref.parameters()):
+                assert p.data.tobytes() == q.data.tobytes(), step
+        assert n_none > 0
+        assert opts[0].m.tobytes() == np.concatenate(
+            [m.ravel() for m in opts[1].m]).tobytes()
+
     def test_adam_minimizes_quadratic(self):
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = Adam([("p", p)], lr=0.1)
@@ -123,6 +184,15 @@ class TestTrainLoop:
         out = train(tiny_model(), dataset,
                     TrainConfig(lr=1e-2, epochs=1, batch_size=70))
         assert out["log"][0]["skipped_batches"] == 0
+
+    def test_epoch_time_split(self):
+        out = train(tiny_model("cpg"), tiny_dataset(),
+                    TrainConfig(lr=1e-2, epochs=2, batch_size=16))
+        for entry in out["log"]:
+            split = [entry[k] for k in ("fwd_ms", "bwd_ms", "opt_ms",
+                                        "eval_ms")]
+            assert all(isinstance(v, int) and v >= 0 for v in split)
+            assert sum(split) <= entry["wall_ms"]
 
     def test_mse_loss_value(self, rng):
         pred = Tensor(rng.normal(size=(4, 3, 2)))
