@@ -79,6 +79,7 @@ def run_single(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         "pe_mode": pe_mode,
         "seed": seed,
         "best_valid_r2": fit["best_valid_r2"],
+        "best_epoch": fit["best_epoch"],
         "test": report.to_dict(),
         "n_parameters": model.n_parameters(),
     }

@@ -48,18 +48,6 @@ class ModelConfig:
             self.cpg = CPGPEConfig()
 
 
-@dataclass
-class ForecastBatch:
-    history: np.ndarray  # (B, L_obs, C)
-    target: np.ndarray   # (B, L_pred, C)
-
-    def __post_init__(self):
-        if np.isnan(self.history).any() or np.isnan(self.target).any():
-            raise ValueError("NaN in forecast batch")
-        if self.history.shape[1] < 1 or self.target.shape[1] < 1:
-            raise ValueError("L_obs and L_pred must be >= 1")
-
-
 class InputEncoder(Module):
     """Standardize -> linear projection -> repeat over steps -> spiking layer.
 
@@ -116,6 +104,12 @@ class SpikeRNNLayer(Module):
     gradients over the whole sequence.  The recurrent term is skipped at the
     first step, where s_(t-1) = 0 contributes exactly nothing.  Without a
     live input or parameter the layer keeps nothing and returns a leaf.
+
+    Each step writes s_(t-1) @ W_rec into its own output slot before the
+    spikes.  The no-grad scan writes its currents and spike masks into
+    `_scratch`, a (B, L, D) float64 and a bool buffer held across calls and
+    reallocated only for a new shape, so it allocates only its output and
+    the membrane.  Outputs are fresh arrays, but a layer is not reentrant.
     """
 
     def __init__(self, d_in: int, d_out: int, lif: LIFParams,
@@ -124,6 +118,7 @@ class SpikeRNNLayer(Module):
         self.w_rec = Linear(d_out, d_out, rng, bias=False)
         self.bn = BatchNorm(d_out) if norm else None
         self.lif = lif
+        self._scratch = (np.empty(0), np.empty(0, dtype=bool))
 
     def __call__(self, x: SpikeTensor) -> SpikeTensor:
         xt = x.to_tensor()
@@ -139,15 +134,21 @@ class SpikeRNNLayer(Module):
         norm_saved = []  # (x_hat, std) per step
         training = bn is not None and bn.training
         h = np.zeros(spikes.shape[1:])
-        fired = np.empty(h.shape, dtype=bool)
+        if live:  # the normalization keeps each step's current as x_hat
+            buf, fired = None, np.empty(h.shape, dtype=bool)
+        else:
+            if self._scratch[0].shape != h.shape:
+                self._scratch = (np.empty(h.shape),
+                                 np.empty(h.shape, dtype=bool))
+            buf, fired = self._scratch
         for t in range(len(spikes)):
-            current = w_in.forward_array(xt.data[t])
-            if t > 0:
-                current += spikes[t - 1] @ w.data
+            current = w_in.forward_array(xt.data[t], out=buf)
+            if t > 0:  # s_(t-1) @ W_rec, in the slot step t writes last
+                current += np.matmul(spikes[t - 1], w.data, out=spikes[t])
             if bn is not None:
                 current, x_hat, std = bn.normalize(current, keep_x_hat=live)
                 norm_saved.append((x_hat, std))
-            if not np.all(np.isfinite(current)):
+            if not np.isfinite(current, out=fired).all():
                 raise FloatingPointError("non-finite input current")
             h += current
             _fire_and_reset(h, fired, p, None if slopes is None else slopes[t])
@@ -171,11 +172,12 @@ class SpikeRNNLayer(Module):
                     g_rec = gu_t @ w.data.T
                     if w.requires_grad:
                         w._accumulate(spikes[t - 1].reshape(-1, w.shape[0]).T
-                                      @ gu_t.reshape(-1, w.shape[1]))
+                                      @ gu_t.reshape(-1, w.shape[1]),
+                                      owned=True)
             # W_in over the whole sequence
             gx = w_in.backward_arrays(xt.data, g_steps, xt.requires_grad)
             if gx is not None:
-                xt._accumulate(gx)
+                xt._accumulate(gx, owned=True)
 
         return SpikeTensor(Tensor._make(spikes, parents, backward),
                            binary=True)

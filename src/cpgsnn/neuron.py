@@ -195,7 +195,7 @@ class SpikingLayer:
                 if gu is not None:
                     gu_t += gu * (p.beta * (1.0 - spikes[t]))
                 gx[t] = gu = gu_t
-            x_seq._accumulate(gx)
+            x_seq._accumulate(gx, owned=True)
 
         return SpikeTensor(Tensor._make(spikes, (x_seq,), backward),
                            binary=True)

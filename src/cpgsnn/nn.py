@@ -90,18 +90,19 @@ class Linear(Module):
         def backward(g):
             gx = self.backward_arrays(x.data, g, x.requires_grad)
             if gx is not None:
-                x._accumulate(gx)
+                x._accumulate(gx, owned=True)
 
         w, b = self.weight, self.bias
         parents = (x, w) if b is None else (x, w, b)
         return Tensor._make(data, parents, backward)
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """x @ W + b on an array."""
+    def forward_array(self, x: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """x @ W + b on an array, written into `out` if one is given."""
         w = self.weight
         if x.ndim < 2 or x.shape[-1] != w.shape[0]:
             raise ShapeError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
-        data = x @ w.data
+        data = np.matmul(x, w.data, out=out)
         if self.bias is not None:
             data += self.bias.data
         return data
@@ -113,9 +114,9 @@ class Linear(Module):
         w, b = self.weight, self.bias
         if w.requires_grad:
             w._accumulate(x.reshape(-1, w.shape[0]).T
-                          @ g.reshape(-1, w.shape[1]))
+                          @ g.reshape(-1, w.shape[1]), owned=True)
         if b is not None and b.requires_grad:
-            b._accumulate(leading_sum(g))
+            b._accumulate(leading_sum(g), owned=True)
         return g @ w.data.T if input_grad else None
 
 
@@ -160,7 +161,7 @@ class BatchNorm(Module):
         def backward(g):
             gx = self.backward_arrays(g, x_hat, std, training, x.requires_grad)
             if gx is not None:
-                x._accumulate(gx)
+                x._accumulate(gx, owned=True)
 
         return Tensor._make(y, (x, self.scale, self.shift), backward)
 
@@ -207,9 +208,9 @@ class BatchNorm(Module):
         """Accumulate the scale and shift gradients of one call; return the
         input gradient when `input_grad` is set."""
         if self.scale.requires_grad:
-            self.scale._accumulate(leading_sum(g * x_hat))
+            self.scale._accumulate(leading_sum(g * x_hat), owned=True)
         if self.shift.requires_grad:
-            self.shift._accumulate(leading_sum(g))
+            self.shift._accumulate(leading_sum(g), owned=True)
         if not input_grad:
             return None
         gy = g * self.scale.data

@@ -4,7 +4,9 @@ Everything is float64 and row-major.  The graph is built eagerly: each op
 returns a new ``Tensor`` holding a closure that routes the incoming gradient
 to its parents.  ``backward`` walks the graph once in reverse topological
 order, so repeated subexpressions accumulate gradients additively.  A
-node's first gradient is stored as a copy; later ones are added in place.
+node's first gradient is stored as a copy, unless the backward hands over a
+fresh array of its own (`_accumulate(..., owned=True)`); later ones are
+added in place.
 
 The elementary ops below are composable and checked against finite
 differences.  The layers the trainer runs through use fused nodes instead:
@@ -110,10 +112,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g to the gradient.  The first g is stored as a C-ordered
+        float64 copy, as it may be another node's gradient or a view of it,
+        unless the caller hands over (`owned`) a fresh array of that layout
+        and shape that nothing else holds."""
         if self.grad is None:
-            # a C-ordered copy, since g may be another node's gradient or a
-            # permuted or broadcast view of it
+            if (owned and g.base is None and g.dtype == np.float64
+                    and g.flags.c_contiguous and g.shape == self.data.shape):
+                self.grad = g
+                return
             grad = np.array(g, dtype=np.float64, order="C")
             if grad.shape != self.data.shape:
                 grad = np.broadcast_to(grad, self.data.shape).copy()
@@ -144,7 +152,7 @@ class Tensor:
 
     def __neg__(self):
         def backward(g):
-            self._accumulate(-g)
+            self._accumulate(-g, owned=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -195,7 +203,7 @@ class Tensor:
         data = self.data**p
 
         def backward(g):
-            self._accumulate(g * p * self.data ** (p - 1))
+            self._accumulate(g * p * self.data ** (p - 1), owned=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -203,7 +211,7 @@ class Tensor:
         data = np.sqrt(self.data)
 
         def backward(g):
-            self._accumulate(g * 0.5 / data)
+            self._accumulate(g * 0.5 / data, owned=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -211,7 +219,7 @@ class Tensor:
         data = np.tanh(self.data)
 
         def backward(g):
-            self._accumulate(g * (1.0 - data * data))
+            self._accumulate(g * (1.0 - data * data), owned=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -280,10 +288,10 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(g):
-            self._accumulate(g @ other.data.T)
+            self._accumulate(g @ other.data.T, owned=True)
             a2 = self.data.reshape(-1, self.shape[-1])
             g2 = g.reshape(-1, other.shape[1])
-            other._accumulate(a2.T @ g2)
+            other._accumulate(a2.T @ g2, owned=True)
 
         return Tensor._make(data, (self, other), backward)
 
@@ -350,7 +358,7 @@ def repeat_leading(x: Tensor, n: int) -> Tensor:
     data = np.broadcast_to(x.data, (n,) + x.shape)
 
     def backward(g):
-        x._accumulate(g.sum(axis=0))
+        x._accumulate(g.sum(axis=0), owned=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -389,10 +397,12 @@ class SpikeTensor:
     references the producing graph Tensor so surrogate gradients can flow.
     A payload is checked for 0/1 values unless the caller passes
     `binary=True`, as the spiking layers do for the spikes they build from
-    a threshold comparison.  `bits` is a C-ordered uint8 copy.
+    a threshold comparison.  `bits` is a C-ordered uint8 copy: of a
+    caller's payload at once, of a layer's own spikes (`binary=True`) on
+    first read, since the training and predict paths never read it.
     """
 
-    __slots__ = ("bits", "node")
+    __slots__ = ("_payload", "_bits", "node")
 
     def __init__(self, values, node: Tensor | None = None, *,
                  binary: bool = False):
@@ -401,16 +411,25 @@ class SpikeTensor:
             raise ShapeError(f"SpikeTensor must be 4-D (T,B,L,D), got {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"SpikeTensor dims must be >= 1, got {arr.shape}")
-        if not binary and not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("SpikeTensor values must be exactly 0 or 1")
-        self.bits = np.array(arr, dtype=np.uint8, order="C")
+        self._payload, self._bits = arr, None
+        if not binary:
+            if not np.all((arr == 0) | (arr == 1)):
+                raise ValueError("SpikeTensor values must be exactly 0 or 1")
+            self._payload = self._bits = np.array(arr, dtype=np.uint8,
+                                                  order="C")
         if node is None and isinstance(values, Tensor):
             node = values
         self.node = node
 
     @property
+    def bits(self) -> np.ndarray:
+        if self._bits is None:
+            self._bits = np.array(self._payload, dtype=np.uint8, order="C")
+        return self._bits
+
+    @property
     def shape(self):
-        return self.bits.shape
+        return self._payload.shape
 
     def to_tensor(self) -> Tensor:
         """Graph node for this payload (constant if none was attached)."""

@@ -117,14 +117,15 @@ def predict(model: ForecastModel, history: np.ndarray,
 
 def train(model: ForecastModel, dataset: Dataset,
           config: TrainConfig, log_path: str | Path | None = None) -> dict:
-    """Fit the model; returns the training log (also written as JSONL)."""
+    """Fit the model; returns the training log (also written as JSONL) and
+    the best validation R^2 and its epoch, whose state the model keeps."""
     model.encoder.fit_normalization(dataset.train.history)
     params = model.parameters()
     opt = Adam(params, config.lr)
     rng = np.random.default_rng(config.seed)
     log: list[dict] = []
     best_r2 = -np.inf
-    best_state = None
+    best_epoch = best_state = None
     since_best = 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -170,7 +171,7 @@ def train(model: ForecastModel, dataset: Dataset,
         }
         log.append(entry)
         if valid_r2 > best_r2:
-            best_r2 = valid_r2
+            best_r2, best_epoch = valid_r2, epoch
             best_state = (
                 [(name, p.data.copy()) for name, p in params],
                 [(name, b.copy()) for name, b in model.buffers()],
@@ -191,4 +192,5 @@ def train(model: ForecastModel, dataset: Dataset,
         with open(log_path, "w") as fh:
             for entry in log:
                 fh.write(json.dumps(entry) + "\n")
-    return {"log": log, "best_valid_r2": float(best_r2)}
+    return {"log": log, "best_valid_r2": float(best_r2),
+            "best_epoch": best_epoch}

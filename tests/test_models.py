@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -192,6 +193,54 @@ def test_rnn_scan_without_grad_builds_no_node(rng):
     plain = layer(x).node
     assert graded._parents and plain._parents == ()
     assert np.array_equal(graded.data, plain.data)
+
+
+class TestNoGradScanBuffers:
+    """Without a live input or parameter the scan reuses the buffers the
+    layer holds; its output is still a fresh array on every call."""
+
+    @staticmethod
+    def frozen_layer():
+        layer = SpikeRNNLayer(8, 8, LIFParams(), np.random.default_rng(0))
+        layer.bn.training = False
+        for _, p in layer.parameters():
+            p.requires_grad = False
+        return layer
+
+    @staticmethod
+    def spikes(rng, batch, t_steps=2, seq_len=48, d=8):
+        shape = (t_steps, batch, seq_len, d)
+        return SpikeTensor(Tensor((rng.random(shape) < 0.5).astype(float)))
+
+    def test_warm_call_allocates_only_output_and_membrane(self, rng):
+        layer, x = self.frozen_layer(), self.spikes(rng, 256)
+        layer(x)  # the held buffers take this shape
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = layer(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        spikes = out.node.data
+        membrane = spikes[0].nbytes  # one (B, L, D) float64 array
+        # slack for numpy's 8192-element ufunc buffer and small objects,
+        # well under the 786 KB of any per-step (B, L, D) temporary
+        assert peak <= spikes.nbytes + membrane + 128 * 1024
+
+    def test_output_is_fresh_and_survives_the_next_call(self, rng):
+        layer = self.frozen_layer()
+        first = layer(self.spikes(rng, 16)).node.data
+        kept = first.copy()
+        second = layer(self.spikes(rng, 16)).node.data
+        assert np.array_equal(first, kept)
+        for held in layer._scratch + (second,):
+            assert not np.shares_memory(first, held)
+
+    def test_output_spikes_stay_lazy(self, rng):
+        out = self.frozen_layer()(self.spikes(rng, 4))
+        assert out._bits is None  # nothing on the predict path reads them
+        assert np.array_equal(out.bits, out.node.data)
 
 
 class TestSpikeTCNLayer:

@@ -99,6 +99,31 @@ class TestBackward:
         (y * Tensor(rng.normal(size=y.shape))).sum().backward()
         assert x.grad.flags.c_contiguous
 
+    def test_owned_gradient_stored_without_copy(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        g = rng.normal(size=(2, 3))
+        x._accumulate(g, owned=True)
+        assert x.grad is g
+        before = g.copy()
+        x._accumulate(np.ones((2, 3)))  # later ones add in place
+        assert x.grad is g and np.array_equal(g, before + 1.0)
+
+    @pytest.mark.parametrize("owned,make", [
+        (False, lambda g: g),
+        (True, lambda g: np.asfortranarray(g)),
+        (True, lambda g: np.hstack([g, g])[:, :3]),
+        (True, lambda g: np.broadcast_to(g[0], (2, 3))),
+        (True, lambda g: g.astype(np.float32)),
+        (True, lambda g: g[0].copy()),
+    ], ids=["shared", "f_order", "view", "broadcast", "float32", "row"])
+    def test_gradient_copied_unless_owned_c_float64(self, owned, make, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        g = make(rng.normal(size=(2, 3)))
+        x._accumulate(g, owned=owned)
+        assert x.grad is not g and not np.shares_memory(x.grad, g)
+        assert x.grad.dtype == np.float64 and x.grad.flags.c_contiguous
+        assert np.array_equal(x.grad, np.broadcast_to(g, (2, 3)))
+
     def test_two_layer_net_matches_finite_differences(self, rng):
         w1_0 = rng.normal(size=(3, 5))
         w2_0 = rng.normal(size=(5, 2))
@@ -297,6 +322,21 @@ class TestSpikeTensor:
     def test_requires_4d(self):
         with pytest.raises(ShapeError):
             SpikeTensor(np.ones((2, 2)))
+
+    def test_layer_bits_built_on_first_read(self, rng):
+        spikes = (rng.random((2, 3, 4, 5)) < 0.5).astype(np.float64)
+        x = SpikeTensor(Tensor(spikes), binary=True)
+        assert x._bits is None and x.shape == spikes.shape
+        bits = x.bits
+        assert bits.dtype == np.uint8 and bits.flags.c_contiguous
+        assert np.array_equal(bits, x.node.data)
+        assert x.bits is bits  # built once
+
+    def test_caller_payload_copied_at_once(self):
+        payload = np.zeros((1, 1, 2, 2))
+        x = SpikeTensor(payload)
+        payload[...] = 1.0  # the caller's later writes do not leak in
+        assert not x.bits.any()
 
     def test_concat_features_shapes(self):
         x = SpikeTensor(np.ones((1, 1, 2, 3)))

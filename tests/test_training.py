@@ -174,6 +174,21 @@ class TestTrainLoop:
             out["best_valid_r2"], abs=1e-9
         )
 
+    def test_best_epoch_is_argmax_of_valid_r2(self, tmp_path):
+        dataset = tiny_dataset()
+        out = train(tiny_model(), dataset,
+                    TrainConfig(lr=1e-2, epochs=6, batch_size=16))
+        r2 = [e["valid_r2"] for e in out["log"]]
+        assert out["best_epoch"] == int(np.argmax(r2))
+        assert out["best_valid_r2"] == max(r2)
+        log_path = tmp_path / "run.jsonl"
+        _, record = run_single(dataset, ModelConfig(hidden_dim=8, t_steps=2),
+                               TrainConfig(lr=1e-2, epochs=6), seed=1,
+                               pe_mode="none", log_path=log_path)
+        r2 = [json.loads(line)["valid_r2"]
+              for line in log_path.read_text().splitlines()]
+        assert record["best_epoch"] == int(np.argmax(r2))
+
     def test_skipped_batches_logged(self):
         # 140 training windows: batches of 139 and 1, the 1 is skipped
         dataset = tiny_dataset()
@@ -244,6 +259,18 @@ class TestNoGradPredict:
         pred = predict(model, hist, offs)
         assert np.array_equal(pred, ref)
         assert outputs and all(o._parents == () for o in outputs)
+
+    @pytest.mark.parametrize("pe_mode", ["none", "cpg"])
+    def test_batch_size_changes_match_a_fresh_model(self, pe_mode):
+        # the recurrent layer's held buffers follow each call's shape
+        dataset = tiny_dataset(length=420)
+        hist, offs = dataset.train.history, dataset.train.offsets
+        assert len(hist) >= 256
+        model = tiny_model(pe_mode)
+        for rows in (256, 100, 256):
+            pred = predict(model, hist[:rows], offs[:rows])
+            fresh = predict(tiny_model(pe_mode), hist[:rows], offs[:rows])
+            assert pred.tobytes() == fresh.tobytes()
 
     def test_restores_requires_grad(self):
         model = tiny_model()
