@@ -17,7 +17,7 @@ import numpy as np
 from .blocks import CPGPEBlock, FloatPEBlock
 from .encoder import CPGPEConfig
 from .neuron import LIFParams, SpikingLayer, _fire_and_reset
-from .nn import BatchNorm, Linear, Module
+from .nn import BatchNorm, Linear, Module, position_tile
 from .tensor import (ShapeError, SpikeTensor, Tensor, repeat_leading,
                      shift_positions)
 
@@ -74,7 +74,8 @@ class InputEncoder(Module):
     def __call__(self, history: np.ndarray) -> SpikeTensor:
         if not np.all(np.isfinite(history)):
             raise ValueError("non-finite history values")
-        z = (history - self.channel_mean) / self.channel_std
+        z = ((history - position_tile(self.channel_mean, history))
+             / position_tile(self.channel_std, history))
         current = self.proj(Tensor(z))  # (B, L, D)
         if self.float_pe_block is not None:
             current = self.float_pe_block(current)
@@ -217,6 +218,32 @@ class SpikeTCNLayer(Module):
         return (self.kernel_size - 1) * self.dilation + 1
 
 
+def pooled_rate(x: SpikeTensor) -> Tensor:
+    """The mean spike rate over steps and positions, (T, B, L, D) -> (B, D),
+    as one graph node.
+
+    Spikes are 0/1, so their count is an exact integer in any summation
+    order: one BLAS product per row over positions, then a sum over steps.
+    The count is scaled by 1/T and then 1/L, the order of the mean over
+    steps and the mean over positions it stands for.  It equals that mean
+    of means to the byte whenever 1/T is exact (T a power of two) and is the
+    exactly counted mean otherwise.  The backward scales the gradient in
+    the same order and broadcasts it back in one accumulate.
+    """
+    xt = x.to_tensor()
+    t, b, l, d = xt.shape
+    counts = np.ones(l) @ xt.data.reshape(t * b, l, d)
+    data = counts.reshape(t, b, d).sum(axis=0)
+    data *= 1.0 / t
+    data *= 1.0 / l
+
+    def backward(g):
+        g = g * (1.0 / l) * (1.0 / t)
+        xt._accumulate(np.broadcast_to(g[:, None, :], xt.shape))
+
+    return Tensor._make(data, (xt,), backward)
+
+
 class MLPHead(Module):
     """Two-layer real-valued readout head with a tanh hidden layer.
 
@@ -294,8 +321,7 @@ class ForecastModel(Module):
 
     def readout(self, x: SpikeTensor) -> Tensor:
         """Reduce spikes over steps and positions, project to the horizon."""
-        rate = x.to_tensor().mean(axis=0)  # (B, L, D) over steps
-        pooled = rate.mean(axis=1)  # (B, D) over positions
+        pooled = pooled_rate(x)
         b = pooled.shape[0]
         y = self.head(pooled)
         return y.reshape(b, self.l_pred, self.in_channels)

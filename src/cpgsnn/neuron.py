@@ -12,10 +12,13 @@ gradient flows through beta * U only.
 
 Both are written by hand rather than composed from elementary tensor ops,
 and both update the membrane in place (`_fire_and_reset`), so a step
-allocates little beyond the arrays it keeps.  `lif_step` makes two graph
-nodes per step, the spike and the new membrane, each a child of the
-previous membrane and the input current; it keeps the surrogate slopes and
-derives the reset gate beta * (1 - S) from the spikes in its backward.
+allocates little beyond the arrays it keeps.  The reset there is no masked
+write: beta * U is multiplied by the 0/1 mask of the neurons that do not
+fire, and a nonzero v_reset is then written where they do.  `lif_step`
+makes two graph nodes per step, the spike and the new membrane, each a
+child of the previous membrane and the input current; it keeps the
+surrogate slopes and derives the reset gate beta * (1 - S) from the spikes
+in its backward.
 `SpikingLayer` makes one node per sequence: its forward loops over the
 steps in numpy and keeps the spikes S_t and surrogate slopes sg_t, and its
 backward runs backpropagation through time in reverse step order,
@@ -34,6 +37,7 @@ v_reset, which is what the gated sum beta * (1 - S) * U + v_reset * S gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +102,20 @@ def _fire_and_reset(u: np.ndarray, fired: np.ndarray, params: LIFParams,
     """In place: fired <- U >= u_thr, u <- the next H.
 
     With `slope` given, it first receives the surrogate slope at U - u_thr.
+    The reset multiplies by the mask of neurons that stay, with no branch
+    per element.  For a finite U this is exactly the reset: a neuron that
+    fires has U >= u_thr > v_reset, so with v_reset = +0.0 its beta * U * 0
+    is +0.0, and any other v_reset, -0.0 included, is written over it.
     """
     if slope is not None:
         np.subtract(u, params.u_thr, out=slope)
         _surrogate_in_place(slope, params.alpha)
-    np.greater_equal(u, params.u_thr, out=fired)
+    np.less(u, params.u_thr, out=fired)  # the neurons that stay
     u *= params.beta
-    np.copyto(u, params.v_reset, where=fired)
+    u *= fired
+    np.logical_not(fired, out=fired)
+    if params.v_reset != 0.0 or math.copysign(1.0, params.v_reset) < 0.0:
+        np.copyto(u, params.v_reset, where=fired)
 
 
 def lif_step(
@@ -172,7 +183,8 @@ class SpikingLayer:
     def forward(self, x_seq: Tensor) -> SpikeTensor:
         """One graph node for the whole sequence; see the module docstring."""
         x = x_seq.data
-        if not np.all(np.isfinite(x)):
+        # a repeat_leading view holds each distinct current once
+        if not np.all(np.isfinite(x[0] if x.strides[0] == 0 else x)):
             raise FloatingPointError("non-finite input current")
         p = self.params
         spikes = np.empty(x.shape)  # x may be a broadcast view

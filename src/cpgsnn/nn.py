@@ -27,6 +27,23 @@ def leading_sum(x: np.ndarray) -> np.ndarray:
     return np.ones(len(flat)) @ flat
 
 
+def position_tile(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The per-feature vector v repeated over the position axis of x (its
+    second-last): an (L, D) array to broadcast in v's place when x has three
+    or more axes, v itself otherwise.
+
+    numpy runs an elementwise op between a C-ordered (N, L, D) array and a
+    (D,) vector as N*L inner loops of D elements; against the (L, D) tile it
+    merges the last two axes into N loops of L*D.  Every element meets the
+    same operand, so the result is the same to the byte.
+    """
+    if x.ndim < 3:
+        return v
+    tile = np.empty(x.shape[-2:], dtype=v.dtype)
+    tile[...] = v
+    return tile
+
+
 class Module:
     """Base class with recursive parameter discovery."""
 
@@ -104,7 +121,7 @@ class Linear(Module):
             raise ShapeError(f"inner dimensions disagree: {x.shape} @ {w.shape}")
         data = np.matmul(x, w.data, out=out)
         if self.bias is not None:
-            data += self.bias.data
+            data += position_tile(self.bias.data, data)
         return data
 
     def backward_arrays(self, x: np.ndarray, g: np.ndarray,
@@ -180,7 +197,7 @@ class BatchNorm(Module):
             if n < 2:
                 raise ValueError(f"batch of size {n} < 2 in train mode")
             mu = leading_sum(x) * (1.0 / n)
-            x_hat -= mu
+            x_hat -= position_tile(mu, x)
             y = x_hat * x_hat  # the squares first, the output later
             var = leading_sum(y) * (1.0 / n)
             m = self.momentum
@@ -192,14 +209,15 @@ class BatchNorm(Module):
             std = np.sqrt(var + self.eps)
         else:
             std = np.sqrt(self.running_var + self.eps)
-            x_hat -= self.running_mean
-        x_hat /= std
+            x_hat -= position_tile(self.running_mean, x)
+        x_hat /= position_tile(std, x)
+        scale = position_tile(self.scale.data, x)
         if keep_x_hat:  # into the squares' buffer in train mode
-            y = np.multiply(x_hat, self.scale.data, out=y)
+            y = np.multiply(x_hat, scale, out=y)
         else:
             y, x_hat = x_hat, None
-            y *= self.scale.data
-        y += self.shift.data
+            y *= scale
+        y += position_tile(self.shift.data, x)
         return y, x_hat, std
 
     def backward_arrays(self, g: np.ndarray, x_hat: np.ndarray,
@@ -213,12 +231,12 @@ class BatchNorm(Module):
             self.shift._accumulate(leading_sum(g), owned=True)
         if not input_grad:
             return None
-        gy = g * self.scale.data
+        gy = g * position_tile(self.scale.data, g)
         if training:
             n = g.size // g.shape[-1]
-            gy = (gy - leading_sum(gy) / n
-                  - x_hat * (leading_sum(gy * x_hat) / n))
-        return gy / std
+            gy = (gy - position_tile(leading_sum(gy) / n, g)
+                  - x_hat * position_tile(leading_sum(gy * x_hat) / n, g))
+        return gy / position_tile(std, g)
 
 
 def save_checkpoint(module: Module, path: str | Path) -> None:

@@ -23,7 +23,8 @@ backward reads and skips parents that need no gradient:
 - ``models.SpikeRNNLayer``: the whole layer, a scan over its slots (input
   map, recurrent term, normalisation and LIF update) with a BPTT backward;
 - ``blocks``: the concatenation of spikes and positional codes, whose
-  backward routes only the spike slice.
+  backward routes only the spike slice;
+- ``models.pooled_rate``: the readout's mean over steps and positions.
 
 No-grad path: an op links its parents and keeps its closure only when some
 parent requires grad or has parents of its own; otherwise it returns a leaf

@@ -5,12 +5,14 @@ from cpgsnn.neuron import (
     LIFParams,
     MembraneState,
     SpikingLayer,
+    _fire_and_reset,
+    _surrogate_in_place,
     lif_step,
     lif_step_values,
     spike,
     surrogate_grad,
 )
-from cpgsnn.tensor import Tensor
+from cpgsnn.tensor import Tensor, repeat_leading
 
 
 def make_state(shape=(1,)):
@@ -64,6 +66,17 @@ class TestLIFStep:
     def test_nonfinite_input_rejected(self):
         with pytest.raises(FloatingPointError):
             lif_step(make_state(), Tensor([np.nan]), LIFParams())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_current_in_repeated_view_rejected(self, bad):
+        """The layer checks a step-repeated current once, and still sees
+        every value of it."""
+        current = np.zeros((2, 3, 4))
+        current[1, 2, 3] = bad
+        seq = repeat_leading(Tensor(current), 3)
+        assert seq.data.strides[0] == 0
+        with pytest.raises(FloatingPointError):
+            SpikingLayer()(seq)
 
 
 class TestSurrogate:
@@ -260,3 +273,35 @@ def test_no_grad_paths_match_grad_paths(params, t_steps):
         assert state_p.h.data.tobytes() == state_g.h.data.tobytes()
         assert state_p.step == state_g.step == t + 1
         assert np.array_equal(s_p.data, plain.bits[t])
+
+
+def fire_and_reset_reference(u, fired, params, slope=None):
+    """_fire_and_reset as a masked write of v_reset over beta * U."""
+    if slope is not None:
+        np.subtract(u, params.u_thr, out=slope)
+        _surrogate_in_place(slope, params.alpha)
+    np.greater_equal(u, params.u_thr, out=fired)
+    u *= params.beta
+    np.copyto(u, params.v_reset, where=fired)
+
+
+@pytest.mark.parametrize("params",
+                         NO_GRAD_PARAM_SETS + [LIFParams(v_reset=-0.0)])
+@pytest.mark.parametrize("with_slope", [False, True])
+def test_fire_and_reset_matches_masked_write(params, with_slope):
+    """The mask-multiply reset gives the masked write's spikes, membranes
+    and slopes to the byte: at the threshold, below zero, at -0.0 and at
+    v_reset."""
+    u0 = np.random.default_rng(3).normal(0.3, 1.5, size=(4, 6, 5))
+    u0[0, 0, :4] = [params.u_thr, -0.0, params.v_reset, -params.u_thr]
+    assert (u0 < 0).any() and (u0 >= params.u_thr).any()
+    runs = []
+    for step in (_fire_and_reset, fire_and_reset_reference):
+        u, fired = u0.copy(), np.empty(u0.shape, dtype=bool)
+        slope = np.empty(u0.shape) if with_slope else None
+        step(u, fired, params, slope)
+        runs.append((u, fired, slope))
+    (u_a, f_a, s_a), (u_b, f_b, s_b) = runs
+    assert u_a.tobytes() == u_b.tobytes()
+    assert f_a.tobytes() == f_b.tobytes() and f_a[0, 0, 0]
+    assert not with_slope or s_a.tobytes() == s_b.tobytes()

@@ -12,6 +12,7 @@ from cpgsnn.models import (
     ModelConfig,
     SpikeRNNLayer,
     SpikeTCNLayer,
+    pooled_rate,
 )
 from cpgsnn.neuron import LIFParams, MembraneState, lif_step, lif_step_values
 from cpgsnn.tensor import ShapeError, SpikeTensor, Tensor, stack
@@ -241,6 +242,30 @@ class TestNoGradScanBuffers:
         out = self.frozen_layer()(self.spikes(rng, 4))
         assert out._bits is None  # nothing on the predict path reads them
         assert np.array_equal(out.bits, out.node.data)
+
+
+@pytest.mark.parametrize("t_steps", [1, 2, 3, 4])
+def test_pooled_rate_matches_mean_of_means(t_steps):
+    """One node for the step mean and the position mean: the same bytes
+    when 1/T is exact, within round-off otherwise; the same input
+    gradient to the byte."""
+    rng = np.random.default_rng(t_steps)
+    bits = (rng.random((t_steps, 5, 7, 4)) < 0.4).astype(float)
+    w = rng.normal(size=(5, 4))  # varied upstream gradient
+    runs = []
+    for pool in (pooled_rate,
+                 lambda s: s.to_tensor().mean(axis=0).mean(axis=1)):
+        x = Tensor(bits, requires_grad=True)
+        pooled = pool(SpikeTensor(x))
+        (pooled * w).sum().backward()
+        runs.append((pooled, x))
+    (fused, x_fused), (ref, x_ref) = runs
+    assert fused._parents == (x_fused,)  # one node on the spikes
+    if t_steps in (1, 2, 4):
+        assert fused.data.tobytes() == ref.data.tobytes()
+    else:
+        assert np.abs(fused.data - ref.data).max() <= 1e-15
+    assert x_fused.grad.tobytes() == x_ref.grad.tobytes()
 
 
 class TestSpikeTCNLayer:

@@ -364,3 +364,83 @@ def test_linear_layer_bias_broadcast(rng):
     y = lin(x)
     assert y.shape == (4, 2)
     assert np.allclose(y.data, x.data @ lin.weight.data + lin.bias.data)
+
+
+class TestWideRowsMatchPlainBroadcast:
+    """Linear and BatchNorm broadcast their per-feature vectors as tiles
+    over positions; each element must come out as plain numpy broadcasting
+    of the (D,) vectors gives it, to the byte."""
+
+    SHAPES = [(7, 8), (6, 5, 8), (2, 6, 5, 8), (9, 3), (4, 5, 3), (2, 3, 5, 3)]
+
+    @staticmethod
+    def normalize_reference(bn, x, training):
+        """BatchNorm.normalize with (D,) vectors broadcast as they are."""
+        if training:
+            n = x.size // x.shape[-1]
+            mu = leading_sum(x) * (1.0 / n)
+            x_hat = x - mu
+            var = leading_sum(x_hat * x_hat) * (1.0 / n)
+            m = bn.momentum
+            running = ((1 - m) * bn.running_mean + m * mu,
+                       (1 - m) * bn.running_var + m * var * n / max(n - 1, 1))
+            std = np.sqrt(var + bn.eps)
+        else:
+            running = (bn.running_mean, bn.running_var)
+            std = np.sqrt(bn.running_var + bn.eps)
+            x_hat = x - bn.running_mean
+        x_hat = x_hat / std
+        return x_hat * bn.scale.data + bn.shift.data, x_hat, std, running
+
+    @staticmethod
+    def backward_reference(bn, g, x_hat, std, training):
+        gy = g * bn.scale.data
+        if training:
+            n = g.size // g.shape[-1]
+            gy = (gy - leading_sum(gy) / n
+                  - x_hat * (leading_sum(gy * x_hat) / n))
+        return leading_sum(g * x_hat), leading_sum(g), gy / std
+
+    @staticmethod
+    def batch_norm(d, rng):
+        bn = BatchNorm(d)
+        bn.scale.data = rng.normal(1.0, 0.3, d)
+        bn.shift.data = rng.normal(0.0, 0.3, d)
+        bn.running_mean = rng.normal(size=d)
+        bn.running_var = rng.uniform(0.5, 2.0, d)
+        return bn
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batch_norm_forward_and_backward(self, shape, training, rng):
+        bn = self.batch_norm(shape[-1], rng)
+        bn.training = training
+        x = rng.normal(2.0, 3.0, shape)
+        ref_y, ref_x_hat, ref_std, ref_running = self.normalize_reference(
+            bn, x, training)
+        y, x_hat, std = bn.normalize(x.copy())
+        assert y.tobytes() == ref_y.tobytes()
+        assert x_hat.tobytes() == ref_x_hat.tobytes()
+        assert std.tobytes() == ref_std.tobytes()
+        for got, ref in zip((bn.running_mean, bn.running_var), ref_running):
+            assert got.tobytes() == ref.tobytes()
+        y_only, none, _ = bn.normalize(x.copy(), keep_x_hat=False)
+        assert none is None and y_only.tobytes() == ref_y.tobytes()
+
+        g = rng.normal(size=shape)
+        refs = self.backward_reference(bn, g, x_hat, std, training)
+        gx = bn.backward_arrays(g, x_hat, std, training, True)
+        got = (bn.scale.grad, bn.shift.grad, gx)
+        for a, b in zip(got, refs):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_linear_forward(self, shape, rng):
+        lin = Linear(shape[-1], 4, rng)
+        lin.bias.data = rng.normal(size=4)
+        x = rng.normal(size=shape)
+        ref = x @ lin.weight.data + lin.bias.data
+        assert lin.forward_array(x).tobytes() == ref.tobytes()
+        out = np.empty(ref.shape)
+        assert lin.forward_array(x, out=out) is out
+        assert out.tobytes() == ref.tobytes()
